@@ -97,6 +97,7 @@ pub const RULES: &[Rule] = &[
             "crates/core/src/train.rs",
             "crates/tensor/src/dense.rs",
             "crates/tensor/src/sparse.rs",
+            "crates/tensor/src/kernel.rs",
         ],
         suppressible: true,
     },

@@ -320,6 +320,7 @@ const QD005_PATHS: &[&str] = &[
     "crates/core/src/train.rs",
     "crates/tensor/src/dense.rs",
     "crates/tensor/src/sparse.rs",
+    "crates/tensor/src/kernel.rs",
 ];
 
 /// QD005: flag a second lock acquisition while a guard is live, and

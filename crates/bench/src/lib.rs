@@ -2,38 +2,20 @@
 
 //! # qdgnn-bench
 //!
-//! Shared fixtures for the Criterion benchmarks. Each bench target under
-//! `benches/` regenerates the *measurement* of one paper table/figure at
-//! benchmark-friendly scale (see DESIGN.md §3); the full-scale numbers
-//! come from the `qdgnn-experiments` binaries.
-//!
-//! Fixtures are deliberately small (the toy and FB-414 replica datasets,
-//! few training epochs) so `cargo bench --workspace` completes in
-//! minutes on one core while still exercising the exact production code
-//! paths: training epochs, online inference, constrained BFS,
-//! decompositions and baseline searches.
+//! The CI performance gate: the `qdgnn-bench` (serve) and
+//! `qdgnn-bench-train` binaries measure small fixed fixtures (the toy and
+//! FB-414 replica datasets, few training epochs) through the production
+//! code paths, write `BENCH_serve.json` / `BENCH_train.json`, and
+//! `qdgnn-bench compare` checks a fresh run against those baselines.
+//! This module holds the fixtures' shared configuration.
 
 pub mod gate;
 pub mod measure;
 pub mod report;
 
 use qdgnn_core::config::ModelConfig;
-use qdgnn_core::models::{AqdGnn, QdGnn};
-use qdgnn_core::train::{TrainConfig, TrainedModel, Trainer};
-use qdgnn_core::GraphTensors;
-use qdgnn_data::{queries as qgen, AttrMode, Dataset, Query, QuerySplit};
-
-/// A ready-to-query fixture: dataset, tensors, splits and a trained model.
-pub struct Fixture<M> {
-    /// The dataset.
-    pub dataset: Dataset,
-    /// Its tensors.
-    pub tensors: GraphTensors,
-    /// The query split used for training/evaluation.
-    pub split: QuerySplit,
-    /// The trained model with its threshold.
-    pub trained: TrainedModel<M>,
-}
+use qdgnn_core::train::TrainConfig;
+use qdgnn_data::{queries as qgen, AttrMode, Dataset, QuerySplit};
 
 /// Benchmark-scale model configuration.
 pub fn bench_model_config() -> ModelConfig {
@@ -54,81 +36,4 @@ pub fn bench_train_config() -> TrainConfig {
 pub fn bench_queries(dataset: &Dataset, mode: AttrMode, min_v: usize, max_v: usize) -> QuerySplit {
     let queries = qgen::generate(dataset, 60, min_v, max_v, mode, 0xBE7C);
     QuerySplit::new(queries, 30, 15, 15)
-}
-
-/// Trains a bench-scale QD-GNN on the toy dataset (EmA queries).
-pub fn qd_fixture() -> Fixture<QdGnn> {
-    let dataset = qdgnn_data::presets::toy();
-    let mc = bench_model_config();
-    let tensors = GraphTensors::new(&dataset.graph, mc.adj_norm, mc.fusion_graph_attr_cap);
-    let split = bench_queries(&dataset, AttrMode::Empty, 1, 3);
-    let trained = Trainer::new(bench_train_config()).train(
-        QdGnn::new(mc, tensors.d),
-        &tensors,
-        &split.train,
-        &split.val,
-    );
-    Fixture { dataset, tensors, split, trained }
-}
-
-/// Trains a bench-scale AQD-GNN on the toy dataset (AFC queries).
-pub fn aqd_fixture() -> Fixture<AqdGnn> {
-    let dataset = qdgnn_data::presets::toy();
-    let mc = bench_model_config();
-    let tensors = GraphTensors::new(&dataset.graph, mc.adj_norm, mc.fusion_graph_attr_cap);
-    let split = bench_queries(&dataset, AttrMode::FromCommunity, 1, 3);
-    let trained = Trainer::new(bench_train_config()).train(
-        AqdGnn::new(mc, tensors.d),
-        &tensors,
-        &split.train,
-        &split.val,
-    );
-    Fixture { dataset, tensors, split, trained }
-}
-
-/// An untrained AQD-GNN fixture (for pure-latency benches where training
-/// quality is irrelevant).
-pub fn aqd_untrained() -> Fixture<AqdGnn> {
-    let dataset = qdgnn_data::presets::fb_414();
-    let mc = bench_model_config();
-    let tensors = GraphTensors::new(&dataset.graph, mc.adj_norm, mc.fusion_graph_attr_cap);
-    let split = bench_queries(&dataset, AttrMode::FromCommunity, 1, 3);
-    let model = AqdGnn::new(mc, tensors.d);
-    let trained = TrainedModel {
-        model,
-        gamma: 0.5,
-        report: qdgnn_core::train::TrainReport {
-            epochs_run: 0,
-            best_val_f1: 0.0,
-            best_gamma: 0.5,
-            loss_history: vec![],
-            val_history: vec![],
-            train_seconds: 0.0,
-            skipped_steps: 0,
-            recoveries: 0,
-            checkpoint_write_failures: 0,
-            diverged: false,
-        },
-    };
-    Fixture { dataset, tensors, split, trained }
-}
-
-/// A single representative test query from a fixture.
-pub fn first_test_query<M>(fixture: &Fixture<M>) -> &Query {
-    &fixture.split.test[0]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_build() {
-        let f = qd_fixture();
-        assert!(!f.split.test.is_empty());
-        assert!(f.trained.gamma > 0.0);
-        let g = aqd_untrained();
-        assert_eq!(g.trained.report.epochs_run, 0);
-        assert!(!first_test_query(&g).vertices.is_empty());
-    }
 }

@@ -1,17 +1,14 @@
 //! Row-major dense f32 matrices and their kernels.
 //!
-//! The kernels are written for the shapes that dominate GNN training:
-//! tall-skinny activations (`n × 128`) multiplied by small square weight
-//! matrices (`128 × 128`). The matmul uses an `i-k-j` loop order so the
-//! innermost loop is a contiguous AXPY over the output row, which LLVM
-//! auto-vectorizes; large products are additionally split across threads
-//! with `crossbeam::thread::scope`.
+//! The kernels are written for the shapes that dominate GNN inference and
+//! training: tall-skinny activations (`n × 32`…`n × 96`) multiplied by
+//! small weight matrices, down to the 1-wide output head. The matmul
+//! accumulates each output row in register tiles (see the `kernel` module),
+//! branch-free; large products are additionally split across threads.
 
 use std::fmt;
 
-/// Number of multiply-accumulate operations above which [`Dense::matmul`]
-/// switches to the multi-threaded kernel.
-const PARALLEL_FLOP_THRESHOLD: usize = 4_000_000;
+use crate::kernel::{self, Isa, PARALLEL_FLOP_THRESHOLD};
 
 /// A row-major dense matrix of `f32`.
 ///
@@ -219,21 +216,39 @@ impl Dense {
 
     /// `self * other` (dense × dense).
     ///
+    /// Bit-identical to the zero-skipping `i-k-j` AXPY loop: each output
+    /// element sums `a[i][k] · b[k][j]` in `k` order from `+0.0`, without
+    /// FMA. That accumulator can never be `-0.0` under round-to-nearest,
+    /// so for a finite `other` adding a `0 · b` term changes nothing and
+    /// the kernel needs no zero test. When `other` holds `inf` or `NaN`
+    /// (where `0 · inf` would be `NaN`) the skipping loop runs instead.
+    ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Dense) -> Dense {
+        self.matmul_on(other, Isa::detect())
+    }
+
+    /// [`Dense::matmul`] compiled for the given instruction set.
+    pub(crate) fn matmul_on(&self, other: &Dense, isa: Isa) -> Dense {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Dense::zeros(self.rows, other.cols);
-        let flops = self.rows * self.cols * other.cols;
-        if flops >= PARALLEL_FLOP_THRESHOLD {
-            matmul_parallel(self, other, &mut out);
-        } else {
-            matmul_rows(self, other, out.as_mut_slice(), 0, self.rows);
-        }
+        let n = other.cols;
+        let parallel = self.rows * self.cols * n >= PARALLEL_FLOP_THRESHOLD;
+        let finite = other.is_finite();
+        kernel::for_unit_chunks(out.as_mut_slice(), n, self.rows, parallel, |first, chunk| {
+            if finite {
+                kernel::weighted_rows(isa, chunk, n, &other.data, |i| {
+                    self.row(first + i).iter().copied().enumerate()
+                });
+            } else {
+                matmul_rows_skipping(self, other, chunk, first);
+            }
+        });
         out
     }
 
@@ -486,64 +501,25 @@ impl fmt::Debug for Dense {
     }
 }
 
-/// Single-threaded kernel computing rows `[row_start, row_end)` of `a * b`
-/// into `out` (full output buffer, row-major with `b.cols` columns).
-fn matmul_rows(a: &Dense, b: &Dense, out: &mut [f32], row_start: usize, row_end: usize) {
+/// The zero-skipping `i-k-j` AXPY: fills `out` (whole rows) with rows
+/// `row_start..` of `a * b`. The fallback for a non-finite `b`, and the
+/// oracle the register-tile kernel is tested against.
+pub(crate) fn matmul_rows_skipping(a: &Dense, b: &Dense, out: &mut [f32], row_start: usize) {
     let n = b.cols;
-    for r in row_start..row_end {
-        let a_row = a.row(r);
-        let out_row = &mut out[r * n..(r + 1) * n];
-        for (k, &av) in a_row.iter().enumerate() {
-            // qdgnn-analyze: allow(QD002, reason = "exact-zero sparsity skip: multiplying by bit-exact 0.0 contributes nothing; skip is an optimization")
+    if n == 0 {
+        return;
+    }
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        for (k, &av) in a.row(row_start + i).iter().enumerate() {
+            // qdgnn-analyze: allow(QD002, reason = "exact-zero sparsity skip: multiplying by bit-exact 0.0 contributes nothing unless b is non-finite, which is the only case this loop serves")
             if av == 0.0 {
                 continue;
             }
-            let b_row = b.row(k);
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+            for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
                 *o += av * bv;
             }
         }
     }
-}
-
-/// Multi-threaded matmul: splits output rows into contiguous chunks, one
-/// per worker thread.
-fn matmul_parallel(a: &Dense, b: &Dense, out: &mut Dense) {
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(a.rows);
-    if threads <= 1 {
-        matmul_rows(a, b, out.as_mut_slice(), 0, a.rows);
-        return;
-    }
-    let n = b.cols;
-    let chunk_rows = a.rows.div_ceil(threads);
-    let chunks: Vec<&mut [f32]> = out.data.chunks_mut(chunk_rows * n).collect();
-    crossbeam::thread::scope(|scope| {
-        for (idx, chunk) in chunks.into_iter().enumerate() {
-            let row_start = idx * chunk_rows;
-            let row_end = (row_start + chunk.len() / n).min(a.rows);
-            scope.spawn(move |_| {
-                // Each chunk is a disjoint slice of output rows; recompute
-                // with local row indices by shifting the base pointer.
-                let local = chunk;
-                for r in row_start..row_end {
-                    let a_row = a.row(r);
-                    let off = (r - row_start) * n;
-                    let out_row = &mut local[off..off + n];
-                    for (k, &av) in a_row.iter().enumerate() {
-                        // qdgnn-analyze: allow(QD002, reason = "exact-zero sparsity skip: multiplying by bit-exact 0.0 contributes nothing; skip is an optimization")
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let b_row = b.row(k);
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .expect("matmul worker thread panicked");
 }
 
 #[cfg(test)]
@@ -604,8 +580,8 @@ mod tests {
         }
         let fast = a.matmul(&b);
         let mut slow = Dense::zeros(n, n);
-        matmul_rows(&a, &b, slow.as_mut_slice(), 0, n);
-        assert!(fast.approx_eq(&slow, 1e-3));
+        matmul_rows_skipping(&a, &b, slow.as_mut_slice(), 0);
+        assert_eq!(fast, slow);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 pub mod alloc_tuning;
 pub mod dense;
+mod kernel;
 pub mod ops;
 pub mod optim;
 pub mod param;

@@ -9,6 +9,7 @@
 //! backward rule for its dense operand (`dB = Aᵀ · dY`).
 
 use crate::dense::Dense;
+use crate::kernel::{self, Isa, PARALLEL_FLOP_THRESHOLD};
 
 /// A compressed sparse row matrix of `f32`.
 ///
@@ -183,7 +184,7 @@ impl Csr {
     }
 
     /// Iterator over `(col, value)` pairs of row `r`.
-    pub fn row_iter(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+    pub fn row_iter(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + Clone + '_ {
         let lo = self.indptr[r];
         let hi = self.indptr[r + 1];
         self.indices[lo..hi]
@@ -229,11 +230,17 @@ impl Csr {
     /// Sparse × dense product `self * d`.
     ///
     /// Cost is `O(nnz · d.cols())`; rows are processed independently and
-    /// split across threads when the work is large enough.
+    /// split across threads when the work is large enough. Each output
+    /// row sums its stored entries' products in column order.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn spmm(&self, d: &Dense) -> Dense {
+        self.spmm_on(d, Isa::detect())
+    }
+
+    /// [`Csr::spmm`] compiled for the given instruction set.
+    pub(crate) fn spmm_on(&self, d: &Dense, isa: Isa) -> Dense {
         assert_eq!(
             self.cols,
             d.rows(),
@@ -243,60 +250,13 @@ impl Csr {
             d.rows(),
             d.cols()
         );
-        let mut out = Dense::zeros(self.rows, d.cols());
-        let work = self.nnz() * d.cols();
-        if work >= 4_000_000 && self.rows > 1 {
-            self.spmm_parallel(d, &mut out);
-        } else {
-            self.spmm_rows(d, &mut out, 0, self.rows);
-        }
+        let n = d.cols();
+        let mut out = Dense::zeros(self.rows, n);
+        let parallel = self.nnz() * n >= PARALLEL_FLOP_THRESHOLD;
+        kernel::for_unit_chunks(out.as_mut_slice(), n, self.rows, parallel, |first, chunk| {
+            self.spmm_rows(isa, d, 0, first, chunk);
+        });
         out
-    }
-
-    fn spmm_rows(&self, d: &Dense, out: &mut Dense, row_start: usize, row_end: usize) {
-        let n = d.cols();
-        for r in row_start..row_end {
-            // Split borrows: rows of `out` are disjoint from `d`.
-            let out_row_ptr = r * n;
-            for (c, v) in self.row_iter(r) {
-                let d_row = d.row(c);
-                let out_slice = &mut out.as_mut_slice()[out_row_ptr..out_row_ptr + n];
-                for (o, &dv) in out_slice.iter_mut().zip(d_row) {
-                    *o += v * dv;
-                }
-            }
-        }
-    }
-
-    fn spmm_parallel(&self, d: &Dense, out: &mut Dense) {
-        let threads =
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(self.rows);
-        if threads <= 1 {
-            self.spmm_rows(d, out, 0, self.rows);
-            return;
-        }
-        let n = d.cols();
-        let chunk_rows = self.rows.div_ceil(threads);
-        let chunks: Vec<&mut [f32]> = out.as_mut_slice().chunks_mut(chunk_rows * n).collect();
-        crossbeam::thread::scope(|scope| {
-            for (idx, chunk) in chunks.into_iter().enumerate() {
-                let row_start = idx * chunk_rows;
-                let row_end = (row_start + chunk.len() / n).min(self.rows);
-                scope.spawn(move |_| {
-                    for r in row_start..row_end {
-                        let off = (r - row_start) * n;
-                        let out_row = &mut chunk[off..off + n];
-                        for (c, v) in self.row_iter(r) {
-                            let d_row = d.row(c);
-                            for (o, &dv) in out_row.iter_mut().zip(d_row) {
-                                *o += v * dv;
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("spmm worker thread panicked");
     }
 
     /// Block-diagonal sparse × dense product: applies `self` to each of
@@ -304,14 +264,19 @@ impl Csr {
     ///
     /// `d` must have `blocks · self.cols()` rows; the result has
     /// `blocks · self.rows()` rows. Block `k` of the output equals
-    /// `self.spmm(block k of d)` bit-for-bit: each output row accumulates
-    /// its products in the same column order as [`Csr::spmm`], so batched
-    /// serving stays bit-identical to the sequential path. Blocks are
-    /// independent and split across threads when the work is large enough.
+    /// `self.spmm(block k of d)` bit-for-bit: both run the same row kernel,
+    /// so batched serving stays bit-identical to the sequential path.
+    /// Blocks are independent and split across threads when the work is
+    /// large enough.
     ///
     /// # Panics
     /// Panics if `blocks` is zero or `d.rows() != blocks · self.cols()`.
     pub fn spmm_blocked(&self, d: &Dense, blocks: usize) -> Dense {
+        self.spmm_blocked_on(d, blocks, Isa::detect())
+    }
+
+    /// [`Csr::spmm_blocked`] compiled for the given instruction set.
+    pub(crate) fn spmm_blocked_on(&self, d: &Dense, blocks: usize, isa: Isa) -> Dense {
         assert!(blocks > 0, "spmm_blocked: blocks must be positive");
         assert_eq!(
             self.cols * blocks,
@@ -323,51 +288,27 @@ impl Csr {
             d.rows(),
             d.cols()
         );
-        let mut out = Dense::zeros(self.rows * blocks, d.cols());
-        if self.rows * d.cols() == 0 {
+        let n = d.cols();
+        let mut out = Dense::zeros(self.rows * blocks, n);
+        let block_len = self.rows * n;
+        if block_len == 0 {
             return out;
         }
-        let work = self.nnz() * d.cols() * blocks;
-        let threads =
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(blocks);
-        if work >= 4_000_000 && threads > 1 {
-            let n = d.cols();
-            let per = blocks.div_ceil(threads);
-            let chunks: Vec<&mut [f32]> =
-                out.as_mut_slice().chunks_mut(per * self.rows * n).collect();
-            crossbeam::thread::scope(|scope| {
-                for (idx, chunk) in chunks.into_iter().enumerate() {
-                    scope.spawn(move |_| {
-                        for (i, block_out) in chunk.chunks_mut(self.rows * n).enumerate() {
-                            self.spmm_block_into(d, idx * per + i, block_out);
-                        }
-                    });
-                }
-            })
-            .expect("spmm_blocked worker thread panicked");
-        } else {
-            let block_len = self.rows * d.cols();
-            for (b, block_out) in out.as_mut_slice().chunks_mut(block_len).enumerate() {
-                self.spmm_block_into(d, b, block_out);
+        let parallel = self.nnz() * n * blocks >= PARALLEL_FLOP_THRESHOLD;
+        kernel::for_unit_chunks(out.as_mut_slice(), block_len, blocks, parallel, |first, chunk| {
+            for (i, block_out) in chunk.chunks_mut(block_len).enumerate() {
+                self.spmm_rows(isa, d, (first + i) * self.cols, 0, block_out);
             }
-        }
+        });
         out
     }
 
-    /// Serial kernel for one block of [`Csr::spmm_blocked`]; identical
-    /// accumulation order to [`Csr::spmm`]'s per-row kernel.
-    fn spmm_block_into(&self, d: &Dense, block: usize, out_block: &mut [f32]) {
-        let n = d.cols();
-        let row_off = block * self.cols;
-        for r in 0..self.rows {
-            let out_row = &mut out_block[r * n..(r + 1) * n];
-            for (c, v) in self.row_iter(r) {
-                let d_row = d.row(row_off + c);
-                for (o, &dv) in out_row.iter_mut().zip(d_row) {
-                    *o += v * dv;
-                }
-            }
-        }
+    /// Row kernel of both products: fills `out` (whole rows) with rows
+    /// `row_start..` of `self · d[d_row_off .. d_row_off + self.cols]`.
+    fn spmm_rows(&self, isa: Isa, d: &Dense, d_row_off: usize, row_start: usize, out: &mut [f32]) {
+        kernel::weighted_rows(isa, out, d.cols(), d.as_slice(), |i| {
+            self.row_iter(row_start + i).map(move |(c, v)| (d_row_off + c, v))
+        });
     }
 
     /// Densifies the matrix (testing / small problems only).
@@ -395,6 +336,25 @@ impl Csr {
             }
         }
     }
+}
+
+/// The plain AXPY loop [`Csr::spmm_blocked`] replaced, kept as the
+/// bit-identity oracle for the register-tile kernel.
+#[cfg(test)]
+pub(crate) fn spmm_blocked_oracle(m: &Csr, d: &Dense, blocks: usize) -> Dense {
+    let n = d.cols();
+    let mut out = Dense::zeros(m.rows * blocks, n);
+    for b in 0..blocks {
+        for r in 0..m.rows {
+            let out_row = out.row_mut(b * m.rows + r);
+            for (c, v) in m.row_iter(r) {
+                for (o, &dv) in out_row.iter_mut().zip(d.row(b * m.cols + c)) {
+                    *o += v * dv;
+                }
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

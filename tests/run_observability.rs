@@ -52,9 +52,9 @@ fn resumed_run_journal_is_byte_identical_to_uninterrupted_run() {
         std::fs::read_to_string(root_a.join(&full_id).join("series.ndjson")).unwrap();
     assert!(!full_journal.is_empty(), "the trainer must journal through the sink");
     let full_store = SeriesStore::from_ndjson(&full_journal).expect("journal validator-clean");
-    assert!(full_store.names().iter().any(|n| *n == "train.loss"));
+    assert!(full_store.names().contains(&"train.loss"));
     assert!(
-        full_store.names().iter().any(|n| *n == "train.val_f1"),
+        full_store.names().contains(&"train.val_f1"),
         "validate_every=5 over 10 epochs must journal validation series: {:?}",
         full_store.names()
     );
