@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use qdgnn_core::models::AqdGnn;
 use qdgnn_core::{CsModel, GraphTensors, OnlineStage, Trainer};
 use qdgnn_data::{AttrMode, Dataset, Query};
+use qdgnn_obs::clock::MonotonicClock;
 use qdgnn_obs::events::Event;
 use qdgnn_obs::metrics::MetricsSnapshot;
 use qdgnn_serve::{ServeConfig, ServeEngine};
@@ -241,9 +242,9 @@ pub fn measure_overload(measure_rounds: usize, log: &mut EventLog) -> Vec<Overlo
     let workload: Vec<Query> =
         split.test.iter().cycle().take(THROUGHPUT_QUERIES).cloned().collect();
     assert!(!workload.is_empty(), "overload scenario needs test queries");
-    let t0 = Instant::now();
+    let (clock, t0) = (MonotonicClock::new(), Instant::now());
     for chunk in workload.chunks(OVERLOAD_BATCH) {
-        for r in calib.try_query_batch(chunk) {
+        for r in calib.try_query_batch(chunk, &clock).0 {
             let _ = r.expect("bench query must be valid");
         }
     }
@@ -366,7 +367,8 @@ pub fn measure_throughput(stage: &OnlineStage<'_>, test_queries: &[Query]) -> Th
     let first: Vec<Query> = workload.iter().take(THROUGHPUT_BATCH).cloned().collect();
     for (q, res) in first.iter().zip(stage.try_scores_batch(&first)) {
         let batched = res.expect("bench query must be valid");
-        let sequential = stage.try_scores(q).expect("bench query must be valid");
+        let sequential = stage.try_scores_batch(std::slice::from_ref(q)).remove(0);
+        let sequential = sequential.expect("bench query must be valid");
         assert!(
             sequential.iter().zip(&batched).all(|(s, b)| s.to_bits() == b.to_bits()),
             "batched scores must be bit-identical to sequential"
@@ -377,9 +379,9 @@ pub fn measure_throughput(stage: &OnlineStage<'_>, test_queries: &[Query]) -> Th
         let _ = stage.try_query(q).expect("bench query must be valid");
     }
     let sequential_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
+    let (clock, t0) = (MonotonicClock::new(), Instant::now());
     for chunk in workload.chunks(THROUGHPUT_BATCH) {
-        for r in stage.try_query_batch(chunk) {
+        for r in stage.try_query_batch(chunk, &clock).0 {
             let _ = r.expect("bench query must be valid");
         }
     }

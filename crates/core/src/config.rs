@@ -3,7 +3,7 @@
 use qdgnn_graph::attributed::AdjNorm;
 
 /// Aggregation used by the Feature Fusion operator (Eq. 6 / Eq. 11).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FusionAgg {
     /// Column concatenation (the paper's choice, §7.1.6).
     Concat,
@@ -18,7 +18,7 @@ pub enum FusionAgg {
 }
 
 /// Hyper-parameters shared by the three models.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelConfig {
     /// Number of GNN layers `k` (paper: 3).
     pub layers: usize,
@@ -34,7 +34,6 @@ pub struct ModelConfig {
     pub feature_fusion: bool,
     /// Adjacency normalization for the SUM aggregation (see
     /// [`AdjNorm`]; `GcnSym` is the faithful default).
-    #[serde(skip, default = "default_adj_norm")]
     pub adj_norm: AdjNorm,
     /// Up-weight positive vertices in the BCE loss by `|neg|/|pos|`
     /// (stabilizes training on large graphs with small communities; the
@@ -47,10 +46,6 @@ pub struct ModelConfig {
     pub seed: u64,
 }
 
-fn default_adj_norm() -> AdjNorm {
-    AdjNorm::GcnSym
-}
-
 impl Default for ModelConfig {
     fn default() -> Self {
         ModelConfig {
@@ -59,7 +54,7 @@ impl Default for ModelConfig {
             dropout: 0.5,
             fusion: FusionAgg::Concat,
             feature_fusion: true,
-            adj_norm: default_adj_norm(),
+            adj_norm: AdjNorm::GcnSym,
             class_balance: true,
             fusion_graph_attr_cap: 100,
             seed: 1,

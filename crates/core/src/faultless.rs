@@ -17,9 +17,10 @@
 //!   `OnlineStage::try_query` validation;
 //! * **serve-path faults** — [`inject_serve_fault_at_call`] arms a
 //!   [`ServeFault`] (panic, stall, simulated allocation failure) that
-//!   fires inside `OnlineStage::try_scores_batch` at a chosen batched
-//!   forward call, exercising the serving engine's worker supervision,
-//!   deadline shedding, and circuit breaker.
+//!   fires inside `OnlineStage::try_scores_batch` at a chosen forward
+//!   call, exercising the serving engine's worker supervision, deadline
+//!   shedding, and circuit breaker. Every online-stage forward pass goes
+//!   through it, single queries (`try_query`, a batch of one) included.
 //!
 //! Step attempts are counted monotonically across divergence rollbacks
 //! (the counter never rewinds), so a fault armed for step `s` fires at
@@ -97,7 +98,7 @@ pub(crate) fn mutate_gradients(step: u64, grads: &mut GradStore) {
     }
 }
 
-/// A fault to fire inside one batched serving forward pass.
+/// A fault to fire inside one online-stage forward pass.
 #[derive(Clone, Copy, Debug)]
 pub enum ServeFault {
     /// Panics mid-forward — the whole batch dies. Exercises worker
@@ -125,8 +126,8 @@ fn serve_call_counter() -> &'static Mutex<u64> {
     COUNTER.get_or_init(|| Mutex::new(0))
 }
 
-/// Arms `fault` to fire at the `call`-th (1-based) batched serving
-/// forward pass counted from the last [`reset_serve_calls`]. One-shot:
+/// Arms `fault` to fire at the `call`-th (1-based) online-stage forward
+/// pass counted from the last [`reset_serve_calls`]. One-shot:
 /// firing removes the fault.
 pub fn inject_serve_fault_at_call(call: u64, fault: ServeFault) {
     serve_registry().lock().unwrap().insert(call, fault);
@@ -144,9 +145,10 @@ pub fn pending_serve() -> usize {
     serve_registry().lock().unwrap().len()
 }
 
-/// Serving-path hook: counts one batched forward call and fires (and
-/// consumes) the fault armed for it, if any. Panicking faults unwind out
-/// of the stage into the engine's worker supervision.
+/// Serving-path hook: counts one online-stage forward call (any batch
+/// size, single queries included) and fires (and consumes) the fault
+/// armed for it, if any. Panicking faults unwind out of the stage into
+/// the engine's worker supervision.
 pub(crate) fn serve_forward_hook() {
     let call = {
         // qdgnn-analyze: allow(QD009, reason = "chaos-only counter mutex; poisoned only if this hook already panicked, i.e. the injected fault fired")

@@ -144,7 +144,7 @@ pub struct QueryBatch {
     pub vertex_onehot: Dense,
     /// Stacked `f_q` columns, `K·d × 1`.
     pub attr_onehot: Dense,
-    queries: Vec<QueryVectors>,
+    k: usize,
     n: usize,
     d: usize,
 }
@@ -186,17 +186,17 @@ impl QueryBatch {
                 chunk.copy_from_slice(q.attr_onehot.as_slice());
             }
         }
-        Ok(QueryBatch { vertex_onehot: v, attr_onehot: f, queries: queries.to_vec(), n, d })
+        Ok(QueryBatch { vertex_onehot: v, attr_onehot: f, k, n, d })
     }
 
     /// Number of queries `K` in the batch.
     pub fn len(&self) -> usize {
-        self.queries.len()
+        self.k
     }
 
     /// Whether the batch is empty (never true for a constructed batch).
     pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
+        self.k == 0
     }
 
     /// Vertex count `n` the queries were encoded against.
@@ -208,10 +208,18 @@ impl QueryBatch {
     pub fn d(&self) -> usize {
         self.d
     }
+}
 
-    /// The stacked queries, in batch order.
-    pub fn queries(&self) -> &[QueryVectors] {
-        &self.queries
+/// A batch of one.
+impl From<&QueryVectors> for QueryBatch {
+    fn from(q: &QueryVectors) -> Self {
+        QueryBatch {
+            vertex_onehot: q.vertex_onehot.clone(),
+            attr_onehot: q.attr_onehot.clone(),
+            k: 1,
+            n: q.vertex_onehot.rows(),
+            d: q.attr_onehot.rows(),
+        }
     }
 }
 

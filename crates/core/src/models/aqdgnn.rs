@@ -22,10 +22,10 @@ use rand::SeedableRng;
 use qdgnn_nn::{BatchNorm1d, Dropout, Mode};
 use qdgnn_tensor::{ParamId, ParamStore, Tape, Var};
 
-use super::blocks::{EncoderLayer, FeatureInput, ForwardCtx, FusionOp, Post};
-use super::{apply_output_head, output_head, CsModel, ForwardResult};
+use super::blocks::{EncoderLayer, FeatureInput, ForwardCtx, FusionOp, GraphEncoder, Post};
+use super::{apply_output_head, output_head, CsModel, ForwardResult, GraphCache};
 use crate::config::ModelConfig;
-use crate::inputs::{GraphTensors, QueryVectors};
+use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
 
 /// The AQD-GNN model of §6.
 pub struct AqdGnn {
@@ -33,7 +33,7 @@ pub struct AqdGnn {
     store: ParamStore,
     bns: Vec<BatchNorm1d>,
     q_layers: Vec<EncoderLayer>,
-    g_layers: Vec<EncoderLayer>,
+    graph: GraphEncoder,
     /// A→N propagations (Eq. 9), one per layer.
     an_layers: Vec<EncoderLayer>,
     /// N→A attribute-side updates (Eq. 10), layers 2..k.
@@ -138,25 +138,8 @@ impl AqdGnn {
             })
             .collect();
         let head = output_head(&mut store, "aqdgnn", fused, &mut rng);
-        AqdGnn { config, store, bns, q_layers, g_layers, an_layers, na_layers, fusions, head }
-    }
-
-    /// Runs the query-independent Graph Encoder (Eq. 5) for all layers.
-    fn graph_branch<R: rand::Rng>(
-        &self,
-        ctx: &mut ForwardCtx<'_, R>,
-        inputs: &GraphTensors,
-    ) -> Vec<Var> {
-        let adj = (&inputs.adj, &inputs.adj_t);
-        let feat = FeatureInput::Sparse(&inputs.feat, &inputs.feat_t);
-        let mut out = Vec::with_capacity(self.config.layers);
-        let mut g = self.g_layers[0].forward(ctx, feat, feat, adj);
-        out.push(g);
-        for layer in &self.g_layers[1..] {
-            g = layer.forward(ctx, FeatureInput::Dense(g), FeatureInput::Dense(g), adj);
-            out.push(g);
-        }
-        out
+        let graph = GraphEncoder::new(g_layers);
+        AqdGnn { config, store, bns, q_layers, graph, an_layers, na_layers, fusions, head }
     }
 
     /// Runs the query- and attribute-dependent branches plus the output
@@ -265,91 +248,30 @@ impl CsModel for AqdGnn {
             Dropout::new(self.config.dropout),
             rng,
         );
-        let g_vars = self.graph_branch(&mut ctx, inputs);
+        let g_vars = self.graph.forward(&mut ctx, inputs);
         let qv = ctx.tape.constant(query.vertex_onehot.clone());
         let fq = ctx.tape.constant(query.attr_onehot.clone());
         let logits = self.query_branches_and_head(&mut ctx, inputs, qv, fq, &g_vars);
         ForwardResult { logits, leaves: ctx.leaves, bn_stats: ctx.stats }
     }
 
-    fn build_graph_cache(&self, inputs: &GraphTensors) -> Option<super::GraphCache> {
-        let mut tape = Tape::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ForwardCtx::new(
-            &mut tape,
-            &self.store,
-            &self.bns,
-            Mode::Eval,
-            Dropout::new(self.config.dropout),
-            &mut rng,
-        );
-        let g_vars = self.graph_branch(&mut ctx, inputs);
-        let layers =
-            g_vars.iter().map(|&v| std::sync::Arc::clone(ctx.tape.value(v))).collect();
-        Some(super::GraphCache { layers })
-    }
-
-    fn forward_cached(
-        &self,
-        tape: &mut Tape,
-        inputs: &GraphTensors,
-        cache: &super::GraphCache,
-        query: &QueryVectors,
-        rng: &mut StdRng,
-    ) -> ForwardResult {
-        assert_eq!(cache.layers.len(), self.config.layers, "cache layer-count mismatch");
-        let mut ctx = ForwardCtx::new(
-            tape,
-            &self.store,
-            &self.bns,
-            Mode::Eval,
-            Dropout::new(self.config.dropout),
-            rng,
-        );
-        let g_vars: Vec<Var> = cache
-            .layers
-            .iter()
-            .map(|layer| ctx.tape.leaf(std::sync::Arc::clone(layer)))
-            .collect();
-        let qv = ctx.tape.constant(query.vertex_onehot.clone());
-        let fq = ctx.tape.constant(query.attr_onehot.clone());
-        let logits = self.query_branches_and_head(&mut ctx, inputs, qv, fq, &g_vars);
-        ForwardResult { logits, leaves: ctx.leaves, bn_stats: ctx.stats }
+    fn build_graph_cache(&self, inputs: &GraphTensors) -> Option<GraphCache> {
+        Some(self.graph.build_cache(&self.store, &self.bns, inputs))
     }
 
     fn forward_batched_eval(
         &self,
         tape: &mut Tape,
         inputs: &GraphTensors,
-        cache: Option<&super::GraphCache>,
-        batch: &crate::inputs::QueryBatch,
-    ) -> Option<Var> {
-        let k = batch.len();
+        cache: &GraphCache,
+        batch: &QueryBatch,
+    ) -> Var {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ForwardCtx::new(
-            tape,
-            &self.store,
-            &self.bns,
-            Mode::Eval,
-            Dropout::new(self.config.dropout),
-            &mut rng,
-        );
-        let g_base: Vec<std::sync::Arc<qdgnn_tensor::Dense>> = match cache {
-            Some(c) => {
-                assert_eq!(c.layers.len(), self.config.layers, "cache layer-count mismatch");
-                c.layers.iter().map(std::sync::Arc::clone).collect()
-            }
-            None => {
-                let g_vars = self.graph_branch(&mut ctx, inputs);
-                g_vars.iter().map(|&v| std::sync::Arc::clone(ctx.tape.value(v))).collect()
-            }
-        };
-        let g_tiled: Vec<Var> =
-            g_base.iter().map(|l| ctx.tape.constant(l.tile_rows(k))).collect();
+        let mut ctx = ForwardCtx::eval(tape, &self.store, &self.bns, &mut rng, batch.len());
+        let g_vars = self.graph.cached(&mut ctx, cache);
         let qv = ctx.tape.constant(batch.vertex_onehot.clone());
         let fq = ctx.tape.constant(batch.attr_onehot.clone());
-        ctx.blocks = k;
-        Some(self.query_branches_and_head(&mut ctx, inputs, qv, fq, &g_tiled))
+        self.query_branches_and_head(&mut ctx, inputs, qv, fq, &g_vars)
     }
 }
 

@@ -1,14 +1,19 @@
 //! Shared building blocks for the three models: the self-feature +
-//! neighborhood-aggregation layer (Eq. 4/5/8/9/10) and the forward-pass
-//! context threading the tape, parameter leaves and batch-norm
-//! statistics through encoder code.
+//! neighborhood-aggregation layer (Eq. 4/5/8/9/10), the Graph Encoder
+//! QD-GNN and AQD-GNN share, and the forward-pass context threading the
+//! tape, parameter leaves and batch-norm statistics through encoder
+//! code.
 
 use std::sync::Arc;
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use qdgnn_nn::{BatchNorm1d, BnStats, Dropout, Mode};
 use qdgnn_tensor::{Csr, ParamId, ParamStore, Tape, Var};
+
+use super::GraphCache;
+use crate::inputs::GraphTensors;
 
 /// Mutable state threaded through one forward pass.
 pub(crate) struct ForwardCtx<'a, R: Rng> {
@@ -48,6 +53,18 @@ impl<'a, R: Rng> ForwardCtx<'a, R> {
             stats: Vec::new(),
             blocks: 1,
         }
+    }
+
+    /// An eval-mode context (dropout off, batch norm on running
+    /// statistics) for a pass over `blocks` stacked queries.
+    pub fn eval(
+        tape: &'a mut Tape,
+        store: &'a ParamStore,
+        bns: &'a [BatchNorm1d],
+        rng: &'a mut R,
+        blocks: usize,
+    ) -> Self {
+        ForwardCtx { blocks, ..Self::new(tape, store, bns, Mode::Eval, Dropout::new(0.0), rng) }
     }
 
     /// Records a parameter as a tape leaf (and remembers the mapping).
@@ -171,6 +188,66 @@ impl EncoderLayer {
             Post::None => {}
         }
         out
+    }
+}
+
+/// The query-independent Graph Encoder (Eq. 5) of QD-GNN and AQD-GNN:
+/// propagates the normalized attribute matrix over the structure graph
+/// and never consumes query information, so its eval-mode output is
+/// computed once per graph as a [`GraphCache`].
+pub(crate) struct GraphEncoder {
+    layers: Vec<EncoderLayer>,
+}
+
+impl GraphEncoder {
+    /// Wraps the per-layer encoders (registered by the owning model, so
+    /// its parameter order is unchanged).
+    pub fn new(layers: Vec<EncoderLayer>) -> Self {
+        GraphEncoder { layers }
+    }
+
+    /// Records every layer on the tape, returning each layer's output.
+    pub fn forward<R: Rng>(&self, ctx: &mut ForwardCtx<'_, R>, inputs: &GraphTensors) -> Vec<Var> {
+        let adj = (&inputs.adj, &inputs.adj_t);
+        let feat = FeatureInput::Sparse(&inputs.feat, &inputs.feat_t);
+        let mut out = Vec::with_capacity(self.layers.len());
+        let mut g = self.layers[0].forward(ctx, feat, feat, adj);
+        out.push(g);
+        for layer in &self.layers[1..] {
+            g = layer.forward(ctx, FeatureInput::Dense(g), FeatureInput::Dense(g), adj);
+            out.push(g);
+        }
+        out
+    }
+
+    /// Runs the encoder in eval mode and keeps each layer's output.
+    pub fn build_cache(
+        &self,
+        store: &ParamStore,
+        bns: &[BatchNorm1d],
+        inputs: &GraphTensors,
+    ) -> GraphCache {
+        let mut tape = Tape::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = ForwardCtx::eval(&mut tape, store, bns, &mut rng, 1);
+        let vars = self.forward(&mut ctx, inputs);
+        GraphCache { layers: vars.iter().map(|&v| Arc::clone(ctx.tape.value(v))).collect() }
+    }
+
+    /// Puts the cached layers on `ctx`'s tape for its `ctx.blocks`
+    /// stacked queries: shared as-is for one query, tiled K× otherwise
+    /// so each query fuses against its own copy.
+    pub fn cached<R: Rng>(&self, ctx: &mut ForwardCtx<'_, R>, cache: &GraphCache) -> Vec<Var> {
+        assert_eq!(cache.layers.len(), self.layers.len(), "cache layer-count mismatch");
+        let k = ctx.blocks;
+        cache
+            .layers
+            .iter()
+            .map(|l| match k {
+                1 => ctx.tape.leaf(Arc::clone(l)),
+                _ => ctx.tape.constant(l.tile_rows(k)),
+            })
+            .collect()
     }
 }
 

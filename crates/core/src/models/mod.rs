@@ -16,7 +16,7 @@ use qdgnn_nn::{BatchNorm1d, BnStats, Mode};
 use qdgnn_tensor::{Dense, ParamId, ParamStore, Tape, Var};
 
 use crate::config::ModelConfig;
-use crate::inputs::{GraphTensors, QueryVectors};
+use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
 
 /// Query-independent Graph Encoder activations (`h_G^(1..k)` in eval
 /// mode), computed once per graph and shared across online queries.
@@ -25,8 +25,11 @@ use crate::inputs::{GraphTensors, QueryVectors};
 /// keep it feeding on its own output), so at serving time its k forward
 /// layers are identical for every query — caching them turns the online
 /// stage into query-branch-only work. Build with
-/// [`CsModel::build_graph_cache`], use with [`predict_scores_cached`].
-#[derive(Clone)]
+/// [`CsModel::build_graph_cache`]; every eval path
+/// ([`predict_scores_batch`] and its batch-of-one
+/// [`predict_scores_cached`]) reads it. Models without a graph branch
+/// (Simple QD-GNN) serve from the empty (default) cache.
+#[derive(Clone, Default)]
 pub struct GraphCache {
     /// Post-processed Graph Encoder output per layer (n × hidden each).
     pub layers: Vec<std::sync::Arc<Dense>>,
@@ -114,40 +117,21 @@ pub trait CsModel: Send + Sync {
         None
     }
 
-    /// Eval-mode forward pass reusing a [`GraphCache`] built by
-    /// [`CsModel::build_graph_cache`] on the same graph and weights.
-    /// The default implementation ignores the cache and runs the full
-    /// forward pass.
-    fn forward_cached(
+    /// Records one eval-mode forward pass over a whole [`QueryBatch`] —
+    /// `K` queries stacked vertically so each tape op runs once per layer
+    /// instead of once per query — reusing `cache` (built by
+    /// [`CsModel::build_graph_cache`] on the same graph and weights, or
+    /// empty for a model without a graph branch). Returns the stacked
+    /// `K·n × 1` logits, bit-identical per row block to `K` eval-mode
+    /// [`CsModel::forward`] passes. This is the only serving inference
+    /// path; a single query is a batch of one.
+    fn forward_batched_eval(
         &self,
         tape: &mut Tape,
         inputs: &GraphTensors,
-        _cache: &GraphCache,
-        query: &QueryVectors,
-        rng: &mut StdRng,
-    ) -> ForwardResult {
-        self.forward(tape, inputs, query, Mode::Eval, rng)
-    }
-
-    /// Records one eval-mode forward pass over a whole [`QueryBatch`] —
-    /// `K` queries stacked vertically so each tape op runs once per layer
-    /// instead of once per query. Returns the stacked `K·n × 1` logits,
-    /// bit-identical per row block to `K` sequential [`CsModel::forward`]
-    /// (or `forward_cached`) passes, or `None` when the model has no
-    /// batched path (callers fall back to sequential scoring).
-    ///
-    /// `cache` is optional: with a cache the graph branch is reused, and
-    /// without one it is still computed only once (at `n` rows) before
-    /// tiling, so batching pays off either way.
-    fn forward_batched_eval(
-        &self,
-        _tape: &mut Tape,
-        _inputs: &GraphTensors,
-        _cache: Option<&GraphCache>,
-        _batch: &crate::inputs::QueryBatch,
-    ) -> Option<Var> {
-        None
-    }
+        cache: &GraphCache,
+        batch: &QueryBatch,
+    ) -> Var;
 
     /// Folds a batch's BN statistics into the running estimates.
     fn apply_bn_stats(&mut self, stats: &[(usize, BnStats)]) {
@@ -221,24 +205,13 @@ impl CsModel for Box<dyn CsModel> {
         (**self).build_graph_cache(inputs)
     }
 
-    fn forward_cached(
-        &self,
-        tape: &mut Tape,
-        inputs: &GraphTensors,
-        cache: &GraphCache,
-        query: &QueryVectors,
-        rng: &mut StdRng,
-    ) -> ForwardResult {
-        (**self).forward_cached(tape, inputs, cache, query, rng)
-    }
-
     fn forward_batched_eval(
         &self,
         tape: &mut Tape,
         inputs: &GraphTensors,
-        cache: Option<&GraphCache>,
-        batch: &crate::inputs::QueryBatch,
-    ) -> Option<Var> {
+        cache: &GraphCache,
+        batch: &QueryBatch,
+    ) -> Var {
         (**self).forward_batched_eval(tape, inputs, cache, batch)
     }
 }
@@ -256,53 +229,47 @@ pub fn predict_scores(model: &dyn CsModel, inputs: &GraphTensors, query: &QueryV
     tape.value(scores).as_slice().to_vec()
 }
 
-/// Like [`predict_scores`], but reuses a precomputed [`GraphCache`]:
-/// only the query-dependent branches are evaluated per query.
+/// Scores one query against a precomputed [`GraphCache`]: a batch of
+/// one through [`predict_scores_batch`].
 pub fn predict_scores_cached(
     model: &dyn CsModel,
     inputs: &GraphTensors,
     cache: &GraphCache,
     query: &QueryVectors,
 ) -> Vec<f32> {
-    let mut tape = Tape::new();
-    let mut rng = StdRng::seed_from_u64(0);
-    let result = model.forward_cached(&mut tape, inputs, cache, query, &mut rng);
-    let scores = tape.sigmoid(result.logits);
-    tape.value(scores).as_slice().to_vec()
+    predict_scores_batch(model, inputs, Some(cache), &QueryBatch::from(query))
+        .into_iter()
+        .next()
+        .unwrap_or_default()
 }
 
-/// Batched inference: scores `K` stacked queries in one eval-mode
-/// forward pass and splits the result back into per-query score vectors
-/// (batch order). Bit-identical to calling [`predict_scores`] /
-/// [`predict_scores_cached`] per query; models without a batched path
-/// fall back to exactly that.
+/// Batched inference, the serving path: scores `K` stacked queries in
+/// one eval-mode forward pass and splits the result back into per-query
+/// score vectors (batch order), bit-identical to calling
+/// [`predict_scores`] per query. Without a `cache` it builds one first,
+/// so the graph branch still runs only once per call.
 pub fn predict_scores_batch(
     model: &dyn CsModel,
     inputs: &GraphTensors,
     cache: Option<&GraphCache>,
-    batch: &crate::inputs::QueryBatch,
+    batch: &QueryBatch,
 ) -> Vec<Vec<f32>> {
     // Batched buffers are K× the single-query sizes; with default malloc
     // tunables they round-trip through the kernel every batch (mmap/trim)
     // and the page faults dominate. Idempotent, one-time tuning.
     qdgnn_tensor::tune_for_batch_serving();
-    let mut tape = Tape::new();
-    match model.forward_batched_eval(&mut tape, inputs, cache, batch) {
-        Some(logits) => {
-            let scores = tape.sigmoid(logits);
-            let flat = tape.value(scores).as_slice();
-            let n = batch.n();
-            flat.chunks(n.max(1)).map(|c| c.to_vec()).collect()
+    let built;
+    let cache = match cache {
+        Some(c) => c,
+        None => {
+            built = model.build_graph_cache(inputs).unwrap_or_default();
+            &built
         }
-        None => batch
-            .queries()
-            .iter()
-            .map(|q| match cache {
-                Some(c) => predict_scores_cached(model, inputs, c, q),
-                None => predict_scores(model, inputs, q),
-            })
-            .collect(),
-    }
+    };
+    let mut tape = Tape::new();
+    let logits = model.forward_batched_eval(&mut tape, inputs, cache, batch);
+    let scores = tape.sigmoid(logits);
+    tape.value(scores).as_slice().chunks(batch.n().max(1)).map(<[f32]>::to_vec).collect()
 }
 
 /// Builds the model's scalar output head (fused features → logits).

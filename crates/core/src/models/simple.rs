@@ -9,12 +9,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qdgnn_nn::{BatchNorm1d, Dropout, Mode};
-use qdgnn_tensor::{ParamId, ParamStore, Tape};
+use qdgnn_tensor::{ParamId, ParamStore, Tape, Var};
 
 use super::blocks::{EncoderLayer, FeatureInput, ForwardCtx, Post};
-use super::{apply_output_head, output_head, CsModel, ForwardResult};
+use super::{apply_output_head, output_head, CsModel, ForwardResult, GraphCache};
 use crate::config::ModelConfig;
-use crate::inputs::{GraphTensors, QueryVectors};
+use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
 
 /// The Simple QD-GNN model of §5.1.
 pub struct SimpleQdGnn {
@@ -66,8 +66,8 @@ impl SimpleQdGnn {
         &self,
         ctx: &mut ForwardCtx<'_, R>,
         inputs: &GraphTensors,
-        qv: qdgnn_tensor::Var,
-    ) -> qdgnn_tensor::Var {
+        qv: Var,
+    ) -> Var {
         let adj = (&inputs.adj, &inputs.adj_t);
         let mut h =
             self.layers[0].forward(ctx, FeatureInput::Dense(qv), FeatureInput::Dense(qv), adj);
@@ -128,22 +128,14 @@ impl CsModel for SimpleQdGnn {
         &self,
         tape: &mut Tape,
         inputs: &GraphTensors,
-        _cache: Option<&super::GraphCache>,
-        batch: &crate::inputs::QueryBatch,
-    ) -> Option<qdgnn_tensor::Var> {
+        _cache: &GraphCache,
+        batch: &QueryBatch,
+    ) -> Var {
         // No graph branch to cache: the whole model is the query branch.
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ForwardCtx::new(
-            tape,
-            &self.store,
-            &self.bns,
-            Mode::Eval,
-            Dropout::new(self.config.dropout),
-            &mut rng,
-        );
+        let mut ctx = ForwardCtx::eval(tape, &self.store, &self.bns, &mut rng, batch.len());
         let qv = ctx.tape.constant(batch.vertex_onehot.clone());
-        ctx.blocks = batch.len();
-        Some(self.branch_and_head(&mut ctx, inputs, qv))
+        self.branch_and_head(&mut ctx, inputs, qv)
     }
 }
 

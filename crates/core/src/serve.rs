@@ -4,11 +4,13 @@
 //!
 //! This is the deployment shape the paper's framework implies (§4.3):
 //! training happened offline, and each arriving query costs one
-//! query-branch inference plus a constrained BFS. Queries can be served
-//! one at a time ([`OnlineStage::try_query`]) or in batches
-//! ([`OnlineStage::try_query_batch`]) — the batched path stacks every
-//! valid query into a single forward pass (one tape op per layer instead
-//! of one per query) and is bit-identical to the sequential path.
+//! query-branch inference plus a constrained BFS. There is one inference
+//! path: [`OnlineStage::try_query_batch`] stacks every valid query into a
+//! single forward pass (one tape op per layer instead of one per query),
+//! and [`OnlineStage::try_query`] is a batch of one. Every call records
+//! the same spans — `serve.query` around `serve.encode` (per query),
+//! `serve.forward` (the stacked pass) and `serve.bfs` (per query) — with
+//! `serve.batch_size` carrying K.
 
 use std::sync::Arc;
 
@@ -19,11 +21,9 @@ use qdgnn_obs::clock::{Clock, MonotonicClock};
 use crate::error::QdgnnError;
 use crate::identify::identify_community;
 use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
-use crate::models::{
-    predict_scores, predict_scores_batch, predict_scores_cached, CsModel, GraphCache,
-};
+use crate::models::{predict_scores_batch, CsModel, GraphCache};
 
-/// Exact per-phase timings for one [`OnlineStage::try_query_batch_timed`]
+/// Exact per-phase timings for one [`OnlineStage::try_query_batch`]
 /// call, measured against the caller-supplied [`Clock`] so the serving
 /// engine can attribute batch cost back to individual requests (and
 /// fake-clock tests can pin the attribution exactly). Unlike the span
@@ -127,10 +127,9 @@ impl<'a> OnlineStage<'a> {
         self.cache.is_some()
     }
 
-    /// Validates one query against the served graph and encodes it,
-    /// with the exact semantics of [`OnlineStage::try_scores`] (EmA
-    /// attribute dropping for non-attributed models, but out-of-range
-    /// attribute ids always rejected).
+    /// Validates one query against the served graph and encodes it:
+    /// EmA attribute dropping for non-attributed models, but out-of-range
+    /// attribute ids are always rejected.
     fn encode_validated(&self, query: &Query) -> Result<QueryVectors, QdgnnError> {
         let t = self.tensors();
         // Validate all attributes, including ones a non-attributed model
@@ -145,64 +144,39 @@ impl<'a> OnlineStage<'a> {
         QueryVectors::try_encode(t.n, t.d, &query.vertices, attrs)
     }
 
-    /// Per-vertex community scores `h_q` for one query.
-    ///
-    /// # Panics
-    /// Panics on malformed queries; serve untrusted input through
-    /// [`OnlineStage::try_scores`] instead.
-    pub fn scores(&self, query: &Query) -> Vec<f32> {
-        match self.try_scores(query) {
-            Ok(scores) => scores,
-            // qdgnn-analyze: allow(QD001, reason = "documented trusted-input variant; untrusted queries go through try_scores")
-            Err(e) => panic!("invalid query: {e}"),
-        }
-    }
-
-    /// Validating variant of [`OnlineStage::scores`]: checks every query
-    /// vertex and attribute against the served graph's dimensions and
-    /// returns a typed error instead of aborting. This is the entry point
-    /// for untrusted (user-supplied) queries.
-    pub fn try_scores(&self, query: &Query) -> Result<Vec<f32>, QdgnnError> {
-        let qv = self.encode_validated(query)?;
-        let _s = qdgnn_obs::span!("serve.forward");
-        Ok(match &self.cache {
-            Some(cache) => predict_scores_cached(self.model(), self.tensors(), cache, &qv),
-            None => predict_scores(self.model(), self.tensors(), &qv),
-        })
-    }
-
-    /// Scores a slice of queries in one stacked forward pass, with
-    /// per-query error isolation: a malformed query yields its own `Err`
-    /// without affecting the rest of the batch. Results are returned in
-    /// input order and are bit-identical to calling
-    /// [`OnlineStage::try_scores`] per query.
+    /// Per-vertex community scores `h_q` for a slice of queries, in one
+    /// stacked forward pass. Every query vertex and attribute is checked
+    /// against the served graph's dimensions, and a malformed query
+    /// yields its own typed error without affecting the rest of the
+    /// batch. Results are returned in input order.
     pub fn try_scores_batch(&self, queries: &[Query]) -> Vec<Result<Vec<f32>, QdgnnError>> {
-        let _s = qdgnn_obs::span!("serve.forward_batch");
         qdgnn_obs::observe("serve.batch_size", queries.len() as f64);
         let mut out: Vec<Result<Vec<f32>, QdgnnError>> = Vec::with_capacity(queries.len());
-        let mut valid: Vec<(usize, QueryVectors)> = Vec::with_capacity(queries.len());
+        let mut valid: Vec<usize> = Vec::with_capacity(queries.len());
+        let mut vectors: Vec<QueryVectors> = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
             match self.encode_validated(q) {
                 Ok(qv) => {
-                    valid.push((i, qv));
+                    valid.push(i);
+                    vectors.push(qv);
                     // placeholder, overwritten from the batch result below
                     out.push(Err(QdgnnError::EmptyQuery));
                 }
                 Err(e) => out.push(Err(e)),
             }
         }
-        if valid.is_empty() {
+        if vectors.is_empty() {
             return out;
         }
-        let vectors: Vec<QueryVectors> = valid.iter().map(|(_, qv)| qv.clone()).collect();
+        let _s = qdgnn_obs::span!("serve.forward");
         let batch = match QueryBatch::try_stack(&vectors) {
             Ok(b) => b,
             Err(e) => {
                 // Stacking only fails on shape mismatches, which encoding
                 // against one graph rules out — but never panic in serving.
                 let msg = e.to_string();
-                for (i, _) in &valid {
-                    if let Some(slot) = out.get_mut(*i) {
+                for &i in &valid {
+                    if let Some(slot) = out.get_mut(i) {
                         *slot = Err(QdgnnError::invalid(msg.clone()));
                     }
                 }
@@ -211,62 +185,44 @@ impl<'a> OnlineStage<'a> {
         };
         // Chaos injection point: fire any armed serve-path fault exactly
         // where a crashing model forward fails in production — after
-        // validation and stacking, before the batched forward pass.
+        // validation and stacking, before the forward pass.
         #[cfg(feature = "chaos")]
         crate::faultless::serve_forward_hook();
-        let scores = predict_scores_batch(self.model(), self.tensors(), self.cache.as_ref(), &batch);
-        for ((i, _), s) in valid.iter().zip(scores) {
-            if let Some(slot) = out.get_mut(*i) {
+        let scores =
+            predict_scores_batch(self.model(), self.tensors(), self.cache.as_ref(), &batch);
+        for (&i, s) in valid.iter().zip(scores) {
+            if let Some(slot) = out.get_mut(i) {
                 *slot = Ok(s);
             }
         }
         out
     }
 
-    /// Full online answer: inference plus constrained BFS (Algorithm 1,
-    /// on the fusion graph for attributed queries).
-    ///
-    /// # Panics
-    /// Panics on malformed queries; serve untrusted input through
-    /// [`OnlineStage::try_query`] instead.
-    pub fn query(&self, query: &Query) -> Vec<VertexId> {
-        match self.try_query(query) {
-            Ok(community) => community,
-            // qdgnn-analyze: allow(QD001, reason = "documented trusted-input variant; untrusted queries go through try_query")
-            Err(e) => panic!("invalid query: {e}"),
-        }
-    }
-
-    /// Validating variant of [`OnlineStage::query`] for untrusted input:
-    /// malformed queries surface as [`QdgnnError`] values, never panics.
+    /// Full online answer for one untrusted query: a batch of one through
+    /// [`OnlineStage::try_query_batch`]. Malformed queries surface as
+    /// [`QdgnnError`] values, never panics.
     pub fn try_query(&self, query: &Query) -> Result<Vec<VertexId>, QdgnnError> {
-        let _query_span = qdgnn_obs::span!("serve.query");
-        qdgnn_obs::counter("serve.queries").inc();
-        let scores = self.try_scores(query)?;
-        Ok(self.identify(query, &scores))
+        let clock = MonotonicClock::new();
+        let (results, _) = self.try_query_batch(std::slice::from_ref(query), &clock);
+        // One query in, one result out.
+        results.into_iter().next().unwrap_or(Err(QdgnnError::EmptyQuery))
     }
 
-    /// Batched variant of [`OnlineStage::try_query`]: one stacked forward
-    /// pass for every valid query, then a per-query constrained BFS.
-    /// Per-query error isolation and input-order results, like
-    /// [`OnlineStage::try_scores_batch`].
-    pub fn try_query_batch(&self, queries: &[Query]) -> Vec<Result<Vec<VertexId>, QdgnnError>> {
-        self.try_query_batch_timed(queries, &MonotonicClock::new()).0
-    }
-
-    /// [`OnlineStage::try_query_batch`] plus an exact phase breakdown:
-    /// how long the stacked forward pass took and how long each query's
-    /// BFS took, both read from `clock`. The serving engine passes its
-    /// own injected clock here so per-request attribution sums exactly
-    /// even under a fake clock; plain callers use
-    /// [`OnlineStage::try_query_batch`], which supplies a monotonic
-    /// clock and discards the timing.
-    pub fn try_query_batch_timed(
+    /// Full online answers (Algorithm 1, on the fusion graph for
+    /// attributed queries): one stacked forward pass for every valid
+    /// query, then a per-query constrained BFS. Per-query error isolation
+    /// and input-order results, like [`OnlineStage::try_scores_batch`].
+    ///
+    /// Also returns an exact phase breakdown read from `clock`: how long
+    /// the stacked forward pass took and how long each query's BFS took.
+    /// The serving engine passes its own injected clock so per-request
+    /// attribution sums exactly even under a fake clock.
+    pub fn try_query_batch(
         &self,
         queries: &[Query],
         clock: &dyn Clock,
     ) -> (Vec<Result<Vec<VertexId>, QdgnnError>>, BatchTiming) {
-        let _query_span = qdgnn_obs::span!("serve.query_batch");
+        let _query_span = qdgnn_obs::span!("serve.query");
         qdgnn_obs::counter("serve.queries").inc_by(queries.len() as u64);
         let t0 = clock.now_micros();
         let scores = self.try_scores_batch(queries);
@@ -301,9 +257,10 @@ impl<'a> OnlineStage<'a> {
     /// # Panics
     /// Panics on malformed queries (evaluation sets are trusted input).
     pub fn evaluate(&self, queries: &[Query]) -> CommunityMetrics {
+        let clock = MonotonicClock::new();
         let predicted: Vec<Vec<VertexId>> = queries
             .chunks(Self::EVAL_CHUNK.max(1))
-            .flat_map(|chunk| self.try_query_batch(chunk))
+            .flat_map(|chunk| self.try_query_batch(chunk, &clock).0)
             .map(|r| match r {
                 Ok(c) => c,
                 // qdgnn-analyze: allow(QD001, reason = "documented trusted-input variant; untrusted queries go through try_query_batch")
@@ -323,7 +280,7 @@ impl<'a> OnlineStage<'a> {
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::models::{AqdGnn, SimpleQdGnn};
+    use crate::models::{AqdGnn, QdGnn, SimpleQdGnn};
     use crate::train::{predict_community, TrainConfig, Trainer};
     use qdgnn_data::{presets, queries as qgen, AttrMode, QuerySplit};
     use qdgnn_graph::attributed::AdjNorm;
@@ -334,23 +291,31 @@ mod tests {
         let t = GraphTensors::new(&data.graph, AdjNorm::GcnSym, 100);
         let queries = qgen::generate(&data, 40, 1, 2, AttrMode::FromCommunity, 8);
         let split = QuerySplit::new(queries, 20, 10, 10);
-        let trained = Trainer::new(TrainConfig { epochs: 15, ..TrainConfig::fast() }).train(
-            AqdGnn::new(ModelConfig::fast(), t.d),
-            &t,
-            &split.train,
-            &split.val,
-        );
-        let stage = OnlineStage::new(&trained.model, &t, trained.gamma);
-        assert!(stage.is_cached());
-        for q in &split.test {
-            assert_eq!(
-                stage.query(q),
-                predict_community(&trained.model, &t, q, trained.gamma),
-                "cached endpoint must agree with the reference pipeline"
+        let models: Vec<(Box<dyn CsModel>, bool)> = vec![
+            (Box::new(SimpleQdGnn::new(ModelConfig::fast())), false),
+            (Box::new(QdGnn::new(ModelConfig::fast(), t.d)), true),
+            (Box::new(AqdGnn::new(ModelConfig::fast(), t.d)), true),
+        ];
+        for (model, has_graph_branch) in models {
+            let trained = Trainer::new(TrainConfig { epochs: 15, ..TrainConfig::fast() }).train(
+                model,
+                &t,
+                &split.train,
+                &split.val,
             );
+            let stage = OnlineStage::new(&trained.model, &t, trained.gamma);
+            assert_eq!(stage.is_cached(), has_graph_branch);
+            for q in &split.test {
+                assert_eq!(
+                    stage.try_query(q).expect("test query is valid"),
+                    predict_community(&trained.model, &t, q, trained.gamma),
+                    "{}: cached endpoint must agree with the reference pipeline",
+                    trained.model.name()
+                );
+            }
+            let m = stage.evaluate(&split.test);
+            assert!((0.0..=1.0).contains(&m.f1));
         }
-        let m = stage.evaluate(&split.test);
-        assert!((0.0..=1.0).contains(&m.f1));
     }
 
     #[test]
@@ -403,7 +368,7 @@ mod tests {
         let stage = OnlineStage::new(&model, &t, 0.5);
         assert!(!stage.is_cached());
         let q = qgen::generate(&data, 1, 1, 1, AttrMode::Empty, 1).remove(0);
-        let c = stage.query(&q);
+        let c = stage.try_query(&q).expect("test query is valid");
         assert!(c.contains(&q.vertices[0]));
     }
 
@@ -422,7 +387,7 @@ mod tests {
         for (q, res) in queries.iter().zip(&batch) {
             match res {
                 Ok(scores) => {
-                    let seq = stage.try_scores(q).unwrap();
+                    let seq = stage.try_scores_batch(std::slice::from_ref(q)).remove(0).unwrap();
                     let same = scores
                         .iter()
                         .zip(&seq)
@@ -435,7 +400,7 @@ mod tests {
         assert!(batch[2].is_err() && batch[4].is_err());
         assert_eq!(batch.iter().filter(|r| r.is_ok()).count(), 6);
 
-        let communities = stage.try_query_batch(&queries);
+        let (communities, _) = stage.try_query_batch(&queries, &MonotonicClock::new());
         for (q, res) in queries.iter().zip(&communities) {
             match res {
                 Ok(c) => assert_eq!(c, &stage.try_query(q).unwrap()),
@@ -451,13 +416,13 @@ mod tests {
         let model = AqdGnn::new(ModelConfig::fast(), t.d);
         let q = qgen::generate(&data, 1, 1, 1, AttrMode::FromCommunity, 3).remove(0);
         let borrowed = OnlineStage::new(&model, &t, 0.5);
-        let expect = borrowed.try_scores(&q).unwrap();
+        let expect = borrowed.try_scores_batch(std::slice::from_ref(&q)).remove(0).unwrap();
 
         let shared: OnlineStage<'static> =
             OnlineStage::new_shared(Arc::new(model), Arc::new(t), 0.5);
         fn assert_static<T: 'static + Send + Sync>(_: &T) {}
         assert_static(&shared);
-        let got = shared.try_scores(&q).unwrap();
+        let got = shared.try_scores_batch(std::slice::from_ref(&q)).remove(0).unwrap();
         assert_eq!(
             expect.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|s| s.to_bits()).collect::<Vec<_>>()

@@ -1,12 +1,14 @@
-//! Batched inference must be bit-identical to sequential inference.
+//! The serving inference path must be bit-identical to the reference
+//! forward pass.
 //!
-//! The batched path stacks `K` encoded queries vertically and runs one
-//! forward pass; every eval-mode op it uses is per-row except `spmm`,
-//! whose blocked variant applies the same adjacency to each row block.
-//! These tests pin the resulting guarantee — per-query scores from
-//! `predict_scores_batch` carry the exact bits of `predict_scores` /
-//! `predict_scores_cached` — across all three models, cached and
-//! uncached, for fixed and property-sampled batch sizes including K=1.
+//! Serving stacks `K` encoded queries vertically and runs one forward
+//! pass over the cached Graph Encoder output (a single query is a batch
+//! of one); every eval-mode op it uses is per-row except `spmm`, whose
+//! blocked variant applies the same adjacency to each row block. These
+//! tests pin the resulting guarantee — per-query scores from
+//! `predict_scores_batch` carry the exact bits of `predict_scores`, the
+//! eval-mode tape forward — across all three models, with and without a
+//! cache, for fixed and property-sampled batch sizes including K=1.
 
 use std::sync::Arc;
 
@@ -15,8 +17,7 @@ use proptest::prelude::*;
 use qdgnn_core::config::ModelConfig;
 use qdgnn_core::inputs::{GraphTensors, QueryBatch, QueryVectors};
 use qdgnn_core::models::{
-    predict_scores, predict_scores_batch, predict_scores_cached, AqdGnn, CsModel, QdGnn,
-    SimpleQdGnn,
+    predict_scores, predict_scores_batch, AqdGnn, CsModel, QdGnn, SimpleQdGnn,
 };
 use qdgnn_core::{OnlineStage, TrainConfig, Trainer};
 use qdgnn_data::{presets, queries as qgen, AttrMode, Query, QuerySplit};
@@ -48,8 +49,8 @@ fn encode_all(model: &dyn CsModel, t: &GraphTensors, queries: &[Query]) -> Vec<Q
         .collect()
 }
 
-/// Asserts `predict_scores_batch` == sequential scoring, bit for bit,
-/// for the given queries, with and without the graph cache.
+/// Asserts `predict_scores_batch` == the reference `predict_scores`, bit
+/// for bit, for the given queries, with and without the graph cache.
 fn assert_batch_matches_sequential(model: &dyn CsModel, t: &GraphTensors, queries: &[Query]) {
     let vectors = encode_all(model, t, queries);
     let batch = QueryBatch::try_stack(&vectors).expect("same-graph vectors stack");
@@ -62,7 +63,7 @@ fn assert_batch_matches_sequential(model: &dyn CsModel, t: &GraphTensors, querie
         assert_eq!(
             want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            "{}: uncached batch diverged from sequential",
+            "{}: uncached batch diverged from the tape reference",
             model.name()
         );
     }
@@ -70,11 +71,11 @@ fn assert_batch_matches_sequential(model: &dyn CsModel, t: &GraphTensors, querie
     if let Some(cache) = cache {
         let batched_cached = predict_scores_batch(model, t, Some(&cache), &batch);
         for (qv, got) in vectors.iter().zip(&batched_cached) {
-            let want = predict_scores_cached(model, t, &cache, qv);
+            let want = predict_scores(model, t, qv);
             assert_eq!(
                 want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                 got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                "{}: cached batch diverged from sequential",
+                "{}: cached batch diverged from the tape reference",
                 model.name()
             );
         }

@@ -24,7 +24,7 @@ use qdgnn_graph::attributed::AttrId;
 use qdgnn_graph::{AttributedGraph, Graph, GraphBuilder, VertexId};
 
 /// Configuration of the synthetic attributed-graph generator.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GeneratorConfig {
     /// Number of planted communities `K`.
     pub num_communities: usize,

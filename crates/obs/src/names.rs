@@ -33,10 +33,8 @@ pub const METRIC_NAMES: &[&str] = &[
     "serve.extract",
     "serve.flush",
     "serve.forward",
-    "serve.forward_batch",
     "serve.queries",
     "serve.query",
-    "serve.query_batch",
     "serve.queue_depth",
     "serve.queue_wait",
     "serve.rejected",

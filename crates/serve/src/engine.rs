@@ -720,8 +720,7 @@ fn worker_loop(shared: &Shared, slot: &Mutex<Vec<Request>>) {
         // Park the batch before the forward pass: if the stage panics,
         // nothing below runs, and the supervisor drains the slot.
         *slot.lock() = batch;
-        let (results, timing) =
-            shared.stage.try_query_batch_timed(&queries, shared.clock.as_ref());
+        let (results, timing) = shared.stage.try_query_batch(&queries, shared.clock.as_ref());
         let end_us = shared.clock.now_micros();
         let batch = std::mem::take(&mut *slot.lock());
         let size = batch.len() as u64;

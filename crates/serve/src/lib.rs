@@ -14,8 +14,8 @@
 //!   never blocks the submitter;
 //! * workers drain up to [`ServeConfig::max_batch`] requests — flushing
 //!   early once the oldest has waited [`ServeConfig::max_wait_us`] — into
-//!   one stacked `try_query_batch` call, bit-identical per query to the
-//!   sequential path;
+//!   one stacked `try_query_batch` call, bit-identical per query to
+//!   serving it alone (a batch of one);
 //! * [`ServeEngine::shutdown`] (or `Drop`) stops admissions and drains
 //!   every accepted request before returning: exactly one reply per
 //!   accepted submission, always.

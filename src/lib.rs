@@ -64,12 +64,13 @@ pub mod prelude {
     pub use qdgnn_core::config::{FusionAgg, ModelConfig};
     pub use qdgnn_core::error::QdgnnError;
     pub use qdgnn_core::identify::{identify_community, try_identify_community};
-    pub use qdgnn_core::inputs::{GraphTensors, QueryVectors};
+    pub use qdgnn_core::inputs::{GraphTensors, QueryBatch, QueryVectors};
     pub use qdgnn_core::interactive::{
         run_interactive, InteractiveConfig, ModelScorer, SubgraphScorer,
     };
     pub use qdgnn_core::models::{
-        predict_scores, predict_scores_cached, AqdGnn, CsModel, GraphCache, QdGnn, SimpleQdGnn,
+        predict_scores, predict_scores_batch, predict_scores_cached, AqdGnn, CsModel, GraphCache,
+        QdGnn, SimpleQdGnn,
     };
     pub use qdgnn_core::persist::{load_model, save_model};
     pub use qdgnn_core::serve::OnlineStage;

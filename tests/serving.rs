@@ -32,7 +32,10 @@ fn train_save_load_serve_round_trip() {
     let reloaded = OnlineStage::new(&fresh, &tensors, gamma);
     assert!(original.is_cached() && reloaded.is_cached());
     for q in &split.test {
-        assert_eq!(original.query(q), reloaded.query(q));
+        assert_eq!(
+            original.try_query(q).expect("test query is valid"),
+            reloaded.try_query(q).expect("test query is valid")
+        );
     }
     let m1 = original.evaluate(&split.test);
     let m2 = reloaded.evaluate(&split.test);
@@ -49,7 +52,10 @@ fn cached_endpoint_agrees_with_reference_pipeline_on_attributed_queries() {
     let stage = OnlineStage::new(&model, &tensors, 0.5);
     let queries = qdgnn::data::queries::generate(&data, 8, 1, 3, AttrMode::FromNode, 77);
     for q in &queries {
-        assert_eq!(stage.query(q), predict_community(&model, &tensors, q, 0.5));
+        assert_eq!(
+            stage.try_query(q).expect("test query is valid"),
+            predict_community(&model, &tensors, q, 0.5)
+        );
     }
 }
 
