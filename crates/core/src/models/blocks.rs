@@ -153,11 +153,7 @@ impl EncoderLayer {
         };
         let b = ctx.param(self.b_agg);
         let biased = ctx.tape.add_row(transformed, b);
-        let aggregated = if ctx.blocks > 1 {
-            ctx.tape.spmm_blocked(agg_mat.0, agg_mat.1, biased, ctx.blocks)
-        } else {
-            ctx.tape.spmm(agg_mat.0, agg_mat.1, biased)
-        };
+        let aggregated = ctx.tape.spmm_blocked(agg_mat.0, agg_mat.1, biased, ctx.blocks);
 
         let mut out = match self.w_self {
             Some(ws) => {

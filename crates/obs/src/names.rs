@@ -27,7 +27,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "serve.breaker_trips",
     "serve.candidate_vertices",
     "serve.community_size",
-    "serve.deadline_exceeded",
     "serve.degraded_mode",
     "serve.encode",
     "serve.extract",
@@ -37,10 +36,8 @@ pub const METRIC_NAMES: &[&str] = &[
     "serve.query",
     "serve.queue_depth",
     "serve.queue_wait",
-    "serve.rejected",
     "serve.request",
     "serve.request_span",
-    "serve.shed",
     "serve.stats.breaker_trips",
     "serve.stats.queue_depth",
     "serve.stats.shed_admission",
@@ -67,7 +64,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "tensor.scale",
     "tensor.sigmoid",
     "tensor.spmm",
-    "tensor.spmm_blocked",
     "tensor.sub",
     "tensor.tape_retained_bytes",
     "train.checkpoint_write",

@@ -38,6 +38,11 @@
 //! final assert-drain answers anything a dying worker could have left
 //! behind, so every accepted request gets exactly one response.
 //!
+//! Every request — refused at submit, shed, answered, failed or drained —
+//! ends through one function, `finish`, which counts its
+//! [`TraceOutcome`], records its [`RequestTrace`] and only then hands
+//! the reply back for delivery.
+//!
 //! Time flows through an injected [`Clock`], never a direct wall-clock
 //! read: workers bound their real condvar waits to a short poll tick and
 //! re-consult the injected clock for every deadline decision, so a
@@ -118,21 +123,40 @@ struct BreakerState {
     tripped_at_us: Option<u64>,
 }
 
-/// Engine-local failure accounting, mirrored into the obs counters but
-/// available in every build (tests assert exact counts without the obs
-/// feature).
+/// Engine-local accounting, available in every build (tests assert
+/// exact counts without the obs feature): requests per terminal outcome,
+/// indexed by `outcome as usize`, plus the panic and breaker events.
 #[derive(Default)]
 struct EngineCounters {
-    shed_admission: AtomicU64,
-    shed_deadline: AtomicU64,
+    outcomes: [AtomicU64; TraceOutcome::ALL.len()],
     worker_panics: AtomicU64,
     breaker_trips: AtomicU64,
 }
+
+/// Where a request's batch left it, for its trace: the batch size, the
+/// request's position in it, its share of the forward pass, its own BFS
+/// time, and whether the batch ran degraded.
+#[derive(Clone, Copy)]
+struct BatchPhases {
+    size: u64,
+    position: u64,
+    share_us: u64,
+    bfs_us: u64,
+    degraded: bool,
+}
+
+/// The phases of a request that never reached a batch.
+const UNBATCHED: BatchPhases =
+    BatchPhases { size: 0, position: 0, share_us: 0, bfs_us: 0, degraded: false };
 
 /// A point-in-time snapshot of the engine's failure accounting,
 /// returned by [`ServeEngine::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
+    /// Requests refused at submit because the queue was full
+    /// ([`ServeError::QueueFull`]) or the engine was shutting down
+    /// ([`ServeError::ShuttingDown`]).
+    pub rejected: u64,
     /// Requests rejected at admission because the estimated queue wait
     /// already exceeded their deadline budget (tier-2 shedding).
     pub shed_admission: u64,
@@ -336,83 +360,52 @@ impl ServeEngine {
     ) -> Result<Pending, ServeError> {
         let (tx, rx) = mpsc::channel();
         let budget_us = deadline.map(|d| u64::try_from(d.as_micros()).unwrap_or(NO_DEADLINE));
-        let tenant: Option<Arc<str>> = tenant.map(Arc::from);
-        let id = self.shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-        // Admission runs under the queue lock; the shed trace is
-        // recorded after the guard drops (the exemplar ring has its own
-        // lock and must stay leaf-ordered after the queue).
-        let admitted: Result<(), ServeError> = {
+        let mut req = Request {
+            query,
+            id: self.shared.next_request_id.fetch_add(1, Ordering::Relaxed),
+            tenant: tenant.map(Arc::from),
+            enqueue_us: 0,
+            deadline_us: NO_DEADLINE,
+            wait_us: 0,
+            reply: tx,
+        };
+        // Admission runs under the queue lock; a refusal is finished
+        // after the guard drops (the exemplar ring has its own lock and
+        // must stay leaf-ordered after the queue).
+        let refused = {
             let mut q = self.shared.queue.lock();
+            // Tier-2 shedding: reject on admission when the queue is
+            // backed up and recent queue waits already exceed this
+            // request's whole budget — it would only be shed later
+            // anyway, after clogging the queue. An empty queue skips the
+            // estimate: the next flush is bounded by max_wait.
+            let estimate = self.shared.wait_ewma_us.load(Ordering::Relaxed);
+            let over_budget = budget_us.is_some_and(|b| !q.requests.is_empty() && estimate > b);
             if q.shutting_down {
-                qdgnn_obs::counter("serve.rejected").inc();
-                Err(ServeError::ShuttingDown)
+                Some((req, TraceOutcome::Rejected, ServeError::ShuttingDown))
             } else if q.requests.len() >= self.shared.capacity {
-                qdgnn_obs::counter("serve.rejected").inc();
-                Err(ServeError::QueueFull { capacity: self.shared.capacity })
+                let full = ServeError::QueueFull { capacity: self.shared.capacity };
+                Some((req, TraceOutcome::Rejected, full))
+            } else if over_budget {
+                let deadline_us = budget_us.unwrap_or(0);
+                let shed = ServeError::DeadlineExceeded { waited_us: 0, deadline_us };
+                Some((req, TraceOutcome::ShedAdmission, shed))
             } else {
-                // Tier-2 shedding: reject on admission when the queue is
-                // backed up and recent queue waits already exceed this
-                // request's whole budget — it would only be shed later
-                // anyway, after clogging the queue. An empty queue skips
-                // the estimate: the next flush is bounded by max_wait.
-                let estimate = self.shared.wait_ewma_us.load(Ordering::Relaxed);
-                let over_budget =
-                    budget_us.is_some_and(|b| !q.requests.is_empty() && estimate > b);
-                if over_budget {
-                    self.shared.counters.shed_admission.fetch_add(1, Ordering::Relaxed);
-                    qdgnn_obs::counter("serve.shed").inc();
-                    qdgnn_obs::counter("serve.deadline_exceeded").inc();
-                    Err(ServeError::DeadlineExceeded {
-                        waited_us: 0,
-                        deadline_us: budget_us.unwrap_or(0),
-                    })
-                } else {
-                    let enqueue_us = self.shared.clock.now_micros();
-                    let deadline_us =
-                        budget_us.map(|b| enqueue_us.saturating_add(b)).unwrap_or(NO_DEADLINE);
-                    q.requests.push_back(Request {
-                        query,
-                        id,
-                        tenant: tenant.clone(),
-                        enqueue_us,
-                        deadline_us,
-                        wait_us: 0,
-                        reply: tx,
-                    });
-                    qdgnn_obs::observe("serve.queue_depth", q.requests.len() as f64);
-                    Ok(())
-                }
+                req.enqueue_us = self.shared.clock.now_micros();
+                req.deadline_us =
+                    budget_us.map_or(NO_DEADLINE, |b| req.enqueue_us.saturating_add(b));
+                q.requests.push_back(req);
+                qdgnn_obs::observe("serve.queue_depth", q.requests.len() as f64);
+                None
             }
         };
-        match admitted {
-            Ok(()) => {
-                self.shared.work_ready.notify_one();
-                Ok(Pending { rx, deadline: budget_us.map(Duration::from_micros) })
-            }
-            Err(e) => {
-                if matches!(e, ServeError::DeadlineExceeded { .. }) {
-                    let now = self.shared.clock.now_micros();
-                    finish_trace(
-                        &self.shared,
-                        RequestTrace {
-                            request_id: id,
-                            tenant,
-                            admitted_us: now,
-                            queue_wait_us: 0,
-                            batch_size: 0,
-                            batch_position: 0,
-                            batch_share_us: 0,
-                            bfs_us: 0,
-                            span_us: 0,
-                            overhead_us: 0,
-                            outcome: TraceOutcome::ShedAdmission,
-                            degraded: false,
-                        },
-                    );
-                }
-                Err(e)
-            }
-        }
+        let Some((mut req, outcome, err)) = refused else {
+            self.shared.work_ready.notify_one();
+            return Ok(Pending { rx, deadline: budget_us.map(Duration::from_micros) });
+        };
+        // A refused request ends the instant it arrives: its span is zero.
+        req.enqueue_us = self.shared.clock.now_micros();
+        finish(&self.shared, &req, outcome, UNBATCHED, req.enqueue_us, Err(err))
     }
 
     /// Convenience: [`ServeEngine::submit`] plus [`Pending::wait`].
@@ -426,10 +419,10 @@ impl ServeEngine {
         self.shared.queue.lock().requests.len()
     }
 
-    /// Snapshot of the engine's failure accounting: shed counts per
-    /// tier, absorbed worker panics, breaker trips, and whether the
-    /// engine is currently degraded. Exact in every build (independent
-    /// of the obs feature).
+    /// Snapshot of the engine's failure accounting: rejections, shed
+    /// counts per tier, absorbed worker panics, breaker trips, and
+    /// whether the engine is currently degraded. Exact in every build
+    /// (independent of the obs feature).
     ///
     /// As a side effect, every snapshot is mirrored into obs gauges
     /// (`serve.stats.*`, `serve.degraded_mode`, `serve.stats.queue_depth`),
@@ -437,11 +430,16 @@ impl ServeEngine {
     /// disagree with the engine's own atomics.
     pub fn stats(&self) -> EngineStats {
         let now = self.shared.clock.now_micros();
+        let counters = &self.shared.counters;
+        let requests = |o: TraceOutcome| {
+            counters.outcomes.get(o as usize).map_or(0, |c| c.load(Ordering::Relaxed))
+        };
         let stats = EngineStats {
-            shed_admission: self.shared.counters.shed_admission.load(Ordering::Relaxed),
-            shed_deadline: self.shared.counters.shed_deadline.load(Ordering::Relaxed),
-            worker_panics: self.shared.counters.worker_panics.load(Ordering::Relaxed),
-            breaker_trips: self.shared.counters.breaker_trips.load(Ordering::Relaxed),
+            rejected: requests(TraceOutcome::Rejected),
+            shed_admission: requests(TraceOutcome::ShedAdmission),
+            shed_deadline: requests(TraceOutcome::ShedDeadline),
+            worker_panics: counters.worker_panics.load(Ordering::Relaxed),
+            breaker_trips: counters.breaker_trips.load(Ordering::Relaxed),
             degraded: degraded_now(&self.shared, now),
         };
         qdgnn_obs::gauge("serve.stats.shed_admission").set(stats.shed_admission as f64);
@@ -488,22 +486,22 @@ impl ServeEngine {
         }
         // Assert-drain: after an orderly join, no queue entry or
         // in-flight slot may still hold a reply channel. Anything found
-        // here is a supervision bug — answer it with a typed error
+        // here is a supervision bug — finish it as `worker_panicked`
         // rather than dropping the Pending handle, and fail loudly in
         // debug builds.
-        let mut leaked = 0usize;
-        {
-            let mut q = self.shared.queue.lock();
-            while let Some(req) = q.requests.pop_front() {
-                leaked += 1;
-                let _ = req.reply.send(Err(ServeError::WorkerPanicked));
-            }
+        let queued = std::mem::take(&mut self.shared.queue.lock().requests);
+        let mut leaked = queued.len();
+        let now = self.shared.clock.now_micros();
+        for req in queued {
+            let reply = Err(ServeError::WorkerPanicked);
+            let reply =
+                finish(&self.shared, &req, TraceOutcome::WorkerPanicked, UNBATCHED, now, reply);
+            let _ = req.reply.send(reply);
         }
         for slot in &self.shared.in_flight {
-            for req in std::mem::take(&mut *slot.lock()) {
-                leaked += 1;
-                let _ = req.reply.send(Err(ServeError::WorkerPanicked));
-            }
+            let parked = std::mem::take(&mut *slot.lock());
+            leaked += parked.len();
+            fail_batch(&self.shared, parked);
         }
         debug_assert_eq!(
             leaked, 0,
@@ -518,19 +516,45 @@ impl Drop for ServeEngine {
     }
 }
 
-/// Terminal-point bookkeeping for one finished request: offers the
-/// trace to the exemplar ring (every build, exact), then mirrors it
-/// into the labeled obs series — `serve.request{outcome}` (counter plus
-/// buffered trace event with the full phase breakdown),
-/// `serve.request_span{outcome}` (histogram), and, when the request
-/// carried a tenant, `serve.tenant_request{tenant,outcome}`.
+/// The one terminal path of every request. It counts the request under
+/// `outcome` and builds its trace, whose overhead is the part of the
+/// admission→`end_us` span that queue wait, batch share and BFS leave,
+/// so the phases sum to the span by construction. It records the trace
+/// in the exemplar ring (every build, exact) and the labeled obs series
+/// `serve.request{outcome}` (counter plus trace event),
+/// `serve.request_span{outcome}` and, for a tenant,
+/// `serve.tenant_request{tenant,outcome}`. It hands `reply` back last,
+/// so a submitter that sees a reply can already see its trace.
 ///
 /// May run under the queue lock (dequeue-tier sheds); the exemplar lock
 /// is a leaf — nothing is acquired while holding it.
-fn finish_trace(shared: &Shared, trace: RequestTrace) {
-    let now = shared.clock.now_micros();
-    shared.exemplars.lock().record(now, trace.clone());
-    let outcome = trace.outcome.as_str();
+fn finish<T>(
+    shared: &Shared,
+    req: &Request,
+    outcome: TraceOutcome,
+    batch: BatchPhases,
+    end_us: u64,
+    reply: Result<T, ServeError>,
+) -> Result<T, ServeError> {
+    if let Some(count) = shared.counters.outcomes.get(outcome as usize) {
+        count.fetch_add(1, Ordering::Relaxed);
+    }
+    let span_us = end_us.saturating_sub(req.enqueue_us);
+    let trace = RequestTrace {
+        request_id: req.id,
+        tenant: req.tenant.clone(),
+        admitted_us: req.enqueue_us,
+        queue_wait_us: req.wait_us,
+        batch_size: batch.size,
+        batch_position: batch.position,
+        batch_share_us: batch.share_us,
+        bfs_us: batch.bfs_us,
+        span_us,
+        overhead_us: span_us.saturating_sub(req.wait_us + batch.share_us + batch.bfs_us),
+        outcome,
+        degraded: batch.degraded,
+    };
+    let outcome = outcome.as_str();
     if let Some(tenant) = trace.tenant.as_deref() {
         qdgnn_obs::counter_with("serve.tenant_request", &[("tenant", tenant), ("outcome", outcome)])
             .inc();
@@ -552,6 +576,8 @@ fn finish_trace(shared: &Shared, trace: RequestTrace) {
             ("degraded", if trace.degraded { 1.0 } else { 0.0 }),
         ],
     );
+    shared.exemplars.lock().record(end_us, trace);
+    reply
 }
 
 /// Whether the breaker currently holds the engine degraded at `now`.
@@ -609,34 +635,13 @@ fn shed_expired(shared: &Shared, q: &mut QueueState, now: u64) {
             i += 1;
             continue;
         }
-        let Some(req) = q.requests.remove(i) else { break };
-        shared.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-        qdgnn_obs::counter("serve.shed").inc();
-        qdgnn_obs::counter("serve.deadline_exceeded").inc();
-        let waited_us = now.saturating_sub(req.enqueue_us);
-        // Trace before replying: once the submitter observes the shed,
-        // the trace is already queryable.
-        finish_trace(
-            shared,
-            RequestTrace {
-                request_id: req.id,
-                tenant: req.tenant.clone(),
-                admitted_us: req.enqueue_us,
-                queue_wait_us: waited_us,
-                batch_size: 0,
-                batch_position: 0,
-                batch_share_us: 0,
-                bfs_us: 0,
-                span_us: waited_us,
-                overhead_us: 0,
-                outcome: TraceOutcome::ShedDeadline,
-                degraded: false,
-            },
-        );
-        let _ = req.reply.send(Err(ServeError::DeadlineExceeded {
-            waited_us,
-            deadline_us: req.budget_us(),
-        }));
+        let Some(mut req) = q.requests.remove(i) else { break };
+        // Its whole span was queue wait.
+        req.wait_us = now.saturating_sub(req.enqueue_us);
+        let shed =
+            ServeError::DeadlineExceeded { waited_us: req.wait_us, deadline_us: req.budget_us() };
+        let reply = finish(shared, &req, TraceOutcome::ShedDeadline, UNBATCHED, now, Err(shed));
+        let _ = req.reply.send(reply);
     }
 }
 
@@ -731,34 +736,34 @@ fn worker_loop(shared: &Shared, slot: &Mutex<Vec<Request>>) {
         let (share, remainder) =
             (timing.forward_us / size.max(1), timing.forward_us % size.max(1));
         for (pos, (req, res)) in batch.into_iter().zip(results).enumerate() {
-            let batch_share_us = share + u64::from((pos as u64) < remainder);
-            let bfs_us = timing.bfs_us.get(pos).copied().unwrap_or(0);
-            let span_us = end_us.saturating_sub(req.enqueue_us);
+            let phases = BatchPhases {
+                size,
+                position: pos as u64,
+                share_us: share + u64::from((pos as u64) < remainder),
+                bfs_us: timing.bfs_us.get(pos).copied().unwrap_or(0),
+                degraded,
+            };
             let outcome =
                 if res.is_ok() { TraceOutcome::Answered } else { TraceOutcome::QueryError };
-            // Trace before replying: once the submitter observes the
-            // answer, the trace is already queryable.
-            finish_trace(
-                shared,
-                RequestTrace {
-                    request_id: req.id,
-                    tenant: req.tenant.clone(),
-                    admitted_us: req.enqueue_us,
-                    queue_wait_us: req.wait_us,
-                    batch_size: size,
-                    batch_position: pos as u64,
-                    batch_share_us,
-                    bfs_us,
-                    span_us,
-                    overhead_us: span_us
-                        .saturating_sub(req.wait_us + batch_share_us + bfs_us),
-                    outcome,
-                    degraded,
-                },
-            );
+            let reply = res.map_err(ServeError::Query);
+            let reply = finish(shared, &req, outcome, phases, end_us, reply);
             // A submitter that dropped its Pending no longer cares.
-            let _ = req.reply.send(res.map_err(ServeError::Query));
+            let _ = req.reply.send(reply);
         }
+    }
+}
+
+/// Finishes a batch whose forward pass died mid-flight with
+/// [`ServeError::WorkerPanicked`]; with share and BFS unattributable,
+/// everything after the stamped queue wait lands in overhead.
+fn fail_batch(shared: &Shared, batch: Vec<Request>) {
+    let now = shared.clock.now_micros();
+    let size = batch.len() as u64;
+    for (pos, req) in batch.into_iter().enumerate() {
+        let phases = BatchPhases { size, position: pos as u64, ..UNBATCHED };
+        let reply = Err(ServeError::WorkerPanicked);
+        let reply = finish(shared, &req, TraceOutcome::WorkerPanicked, phases, now, reply);
+        let _ = req.reply.send(reply);
     }
 }
 
@@ -778,34 +783,8 @@ fn supervise_worker(shared: &Shared, idx: usize) {
         match outcome {
             Ok(()) => return,
             Err(_) => {
-                let dying: Vec<Request> = std::mem::take(&mut *slot.lock());
-                let now = shared.clock.now_micros();
-                let size = dying.len() as u64;
-                for (pos, req) in dying.into_iter().enumerate() {
-                    // The forward pass died mid-flight, so batch share
-                    // and BFS are unattributable — the whole remainder
-                    // of the span lands in overhead. Trace first, then
-                    // reply, so a received reply implies the trace.
-                    let span_us = now.saturating_sub(req.enqueue_us);
-                    finish_trace(
-                        shared,
-                        RequestTrace {
-                            request_id: req.id,
-                            tenant: req.tenant.clone(),
-                            admitted_us: req.enqueue_us,
-                            queue_wait_us: req.wait_us,
-                            batch_size: size,
-                            batch_position: pos as u64,
-                            batch_share_us: 0,
-                            bfs_us: 0,
-                            span_us,
-                            overhead_us: span_us.saturating_sub(req.wait_us),
-                            outcome: TraceOutcome::WorkerPanicked,
-                            degraded: false,
-                        },
-                    );
-                    let _ = req.reply.send(Err(ServeError::WorkerPanicked));
-                }
+                let dying = std::mem::take(&mut *slot.lock());
+                fail_batch(shared, dying);
                 record_panic(shared);
             }
         }
@@ -888,6 +867,7 @@ mod tests {
             Err(other) => panic!("expected QueueFull, got {other:?}"),
             Ok(_) => panic!("expected QueueFull, got an accepted submission"),
         }
+        assert_eq!(engine.stats().rejected, 1, "a full queue counts as a rejection");
         // Graceful shutdown must answer every accepted request even with
         // the batching clock frozen.
         engine.shutdown();
@@ -895,6 +875,9 @@ mod tests {
             assert!(p.wait().is_ok(), "accepted request lost in shutdown");
         }
         assert!(matches!(engine.submit(queries[0].clone()), Err(ServeError::ShuttingDown)));
+        let stats = engine.stats();
+        assert_eq!(stats.rejected, 2, "a submit after shutdown counts as a rejection");
+        assert_eq!(stats.shed_admission + stats.shed_deadline, 0, "rejections are not sheds");
     }
 
     #[test]

@@ -76,9 +76,10 @@ fn respond(engine: &ServeEngine, path: &str) -> Response {
             let code = if stats.degraded { 503 } else { 200 };
             let body = format!(
                 "{{\"status\":\"{verdict}\",\"degraded\":{},\"queue_depth\":{depth},\
-                 \"shed_admission\":{},\"shed_deadline\":{},\"worker_panics\":{},\
-                 \"breaker_trips\":{}}}\n",
+                 \"rejected\":{},\"shed_admission\":{},\"shed_deadline\":{},\
+                 \"worker_panics\":{},\"breaker_trips\":{}}}\n",
                 stats.degraded,
+                stats.rejected,
                 stats.shed_admission,
                 stats.shed_deadline,
                 stats.worker_panics,
@@ -145,6 +146,7 @@ mod tests {
         let health = get(addr, "/healthz");
         assert!(health.starts_with("HTTP/1.0 200"), "healthy engine must answer 200: {health}");
         assert!(health.contains("\"status\":\"ok\"") && health.contains("\"queue_depth\":"));
+        assert!(health.contains("\"rejected\":0,"), "healthz must report rejections: {health}");
 
         let traces = get(addr, "/traces");
         assert!(traces.starts_with("HTTP/1.0 200"));

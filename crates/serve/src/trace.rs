@@ -1,28 +1,34 @@
-//! Request-scoped telemetry: the per-request trace record the engine
-//! fills in as a request moves through admission, the queue, a batch
-//! and the online stage, plus the tail-exemplar ring that retains the
-//! most interesting traces for the `/traces` endpoint.
+//! Request-scoped telemetry: the outcome taxonomy, the per-request
+//! trace record the engine writes when a request ends, and the
+//! tail-exemplar ring that retains the most interesting traces for the
+//! `/traces` endpoint.
 //!
-//! Traces are recorded in **every** build (like the engine's failure
-//! counters): the exemplar ring and the phase arithmetic never depend
-//! on the obs feature, only the labeled-metric and trace-event mirrors
-//! do. All timings are on the engine's injected clock, so a fake-clock
-//! test can pin the attribution exactly — the serving integration tests
-//! assert `queue_wait + batch_share + bfs + overhead == span` with no
-//! tolerance.
+//! Every request the engine sees, refused ones included, ends in exactly
+//! one [`TraceOutcome`] through the engine's single terminal path, the
+//! only code that builds a [`RequestTrace`]. It derives `span_us` and
+//! `overhead_us` itself, so `queue_wait + batch_share + bfs + overhead ==
+//! span` holds by construction.
+//!
+//! Traces are recorded in **every** build (like the engine's counters):
+//! the exemplar ring and the phase arithmetic never depend on the obs
+//! feature, only the labeled-metric and trace-event mirrors do. All
+//! timings are on the engine's injected clock.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use qdgnn_obs::json;
 
-/// Terminal disposition of one request.
+/// Terminal disposition of one request (the `outcome` metric label).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceOutcome {
     /// Answered with a community.
     Answered,
     /// Answered with a typed per-query error (malformed query).
     QueryError,
+    /// Refused at submit: the queue was full (`QueueFull`) or the engine
+    /// was shutting down (`ShuttingDown`), so it never entered the queue.
+    Rejected,
     /// Shed at admission: the queue-wait estimate already exceeded the
     /// request's deadline budget, so it never entered the queue.
     ShedAdmission,
@@ -34,12 +40,24 @@ pub enum TraceOutcome {
 }
 
 impl TraceOutcome {
+    /// Every outcome, in declaration order: `outcome as usize` indexes
+    /// this array (and the engine's per-outcome counter table).
+    pub const ALL: [TraceOutcome; 6] = [
+        TraceOutcome::Answered,
+        TraceOutcome::QueryError,
+        TraceOutcome::Rejected,
+        TraceOutcome::ShedAdmission,
+        TraceOutcome::ShedDeadline,
+        TraceOutcome::WorkerPanicked,
+    ];
+
     /// Stable label value used for the `outcome` metric label and the
     /// trace JSONL.
     pub fn as_str(self) -> &'static str {
         match self {
             TraceOutcome::Answered => "answered",
             TraceOutcome::QueryError => "query_error",
+            TraceOutcome::Rejected => "rejected",
             TraceOutcome::ShedAdmission => "shed_admission",
             TraceOutcome::ShedDeadline => "shed_deadline",
             TraceOutcome::WorkerPanicked => "worker_panicked",
@@ -49,10 +67,7 @@ impl TraceOutcome {
     /// Whether this disposition counts as shed/failed for the exemplar
     /// ring's recently-shed window.
     pub fn is_shed(self) -> bool {
-        matches!(
-            self,
-            TraceOutcome::ShedAdmission | TraceOutcome::ShedDeadline | TraceOutcome::WorkerPanicked
-        )
+        !matches!(self, TraceOutcome::Answered | TraceOutcome::QueryError)
     }
 }
 
@@ -60,9 +75,10 @@ impl TraceOutcome {
 ///
 /// The phases partition the request's end-to-end span:
 /// `queue_wait_us + batch_share_us + bfs_us + overhead_us == span_us`,
-/// exactly, in every build. Shed requests have the batch phases zeroed
-/// (`span_us` is how long they waited before being shed; zero for
-/// admission-tier sheds that never entered the queue).
+/// exactly, in every build. Requests that never reached a batch have the
+/// batch phases zeroed (`span_us` is how long they waited before being
+/// shed; zero for rejections and admission-tier sheds, which never
+/// entered the queue).
 #[derive(Clone, Debug)]
 pub struct RequestTrace {
     /// Engine-unique request id, minted at submit.
@@ -74,7 +90,7 @@ pub struct RequestTrace {
     pub admitted_us: u64,
     /// Time spent queued before its batch was drained.
     pub queue_wait_us: u64,
-    /// Size of the batch this request executed in (0 when shed).
+    /// Size of the batch this request executed in (0 if none).
     pub batch_size: u64,
     /// Position of this request within its batch (0-based).
     pub batch_position: u64,
@@ -91,7 +107,7 @@ pub struct RequestTrace {
     /// Terminal disposition.
     pub outcome: TraceOutcome,
     /// Whether the batch executed under the degraded (batch = 1)
-    /// circuit-breaker regime. Always `false` for shed requests.
+    /// circuit-breaker regime; `false` unless its forward pass completed.
     pub degraded: bool,
 }
 
@@ -220,6 +236,16 @@ mod tests {
             assert!(j.contains(needle), "missing {needle} in {j}");
         }
         assert!(trace(1, 0, TraceOutcome::ShedDeadline).to_json().contains("\"tenant\":null"));
+    }
+
+    #[test]
+    fn all_lists_every_outcome_in_declaration_order() {
+        for (i, o) in TraceOutcome::ALL.into_iter().enumerate() {
+            assert_eq!(o as usize, i, "{o:?} is out of place in ALL");
+        }
+        let shed: Vec<&str> =
+            TraceOutcome::ALL.into_iter().filter(|o| o.is_shed()).map(|o| o.as_str()).collect();
+        assert_eq!(shed, ["rejected", "shed_admission", "shed_deadline", "worker_panicked"]);
     }
 
     #[test]

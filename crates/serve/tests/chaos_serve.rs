@@ -308,8 +308,9 @@ fn shutdown_after_mid_batch_panic_loses_no_submitter() {
     assert_eq!(engine.stats().worker_panics, 1);
 }
 
-/// Deadline accounting under chaos is exact: obs counters (when the
-/// metrics feature rides along) agree with the engine's own stats.
+/// Deadline accounting under chaos is exact: the labeled outcome
+/// counter (when the metrics feature rides along) agrees with the
+/// engine's own stats.
 #[test]
 fn shed_accounting_matches_obs_counters_when_enabled() {
     let _guard = chaos_lock();
@@ -322,9 +323,8 @@ fn shed_accounting_matches_obs_counters_when_enabled() {
         ..ServeConfig::default()
     });
     let (_, queries) = stage_and_queries();
-    let before = qdgnn_obs::snapshot();
-    let before_shed = before.counter("serve.shed").unwrap_or(0);
-    let before_dl = before.counter("serve.deadline_exceeded").unwrap_or(0);
+    const SHED_DEADLINE: &str = "serve.request{outcome=\"shed_deadline\"}";
+    let before_shed = qdgnn_obs::snapshot().counter(SHED_DEADLINE).unwrap_or(0);
     let doomed: Vec<Pending> = queries
         .iter()
         .take(3)
@@ -341,9 +341,7 @@ fn shed_accounting_matches_obs_counters_when_enabled() {
     let stats = engine.stats();
     assert_eq!(stats.shed_deadline, 3);
     if qdgnn_obs::enabled() {
-        let after = qdgnn_obs::snapshot();
-        assert_eq!(after.counter("serve.shed").unwrap_or(0) - before_shed, 3);
-        assert_eq!(after.counter("serve.deadline_exceeded").unwrap_or(0) - before_dl, 3);
+        assert_eq!(qdgnn_obs::snapshot().counter(SHED_DEADLINE).unwrap_or(0) - before_shed, 3);
     }
     engine.shutdown();
 }

@@ -1,6 +1,7 @@
 //! Cross-surface outcome accounting: every terminal disposition the
-//! engine can reach — answered, shed at admission, shed at deadline —
-//! must appear with **identical counts** in the exemplar traces, the
+//! engine can reach — answered, rejected (queue full, shutting down),
+//! shed at admission, shed at deadline — must appear with **identical
+//! counts** in the engine's stats, the exemplar traces, the
 //! labeled metric series, the buffered trace events, and the Prometheus
 //! exposition. (The worker-panicked outcome needs fault injection and is
 //! covered by the chaos suite.)
@@ -38,7 +39,8 @@ fn every_outcome_agrees_across_exemplars_labels_events_and_exposition() {
         ServeConfig {
             max_batch: 8,
             max_wait_us: 500,
-            queue_capacity: 16,
+            // Below max_batch, so a full queue never flushes on size.
+            queue_capacity: 4,
             workers: 1,
             exemplar_k: 16,
             ..ServeConfig::default()
@@ -86,12 +88,43 @@ fn every_outcome_agrees_across_exemplars_labels_events_and_exposition() {
         Ok(_) => panic!("expected an admission-tier shed, got an admission"),
     }
 
-    // answered ×1 (no tenant): the parked request drains at shutdown.
+    // rejected ×1 (queue full): three more requests fill the queue
+    // behind the parked one; the frozen clock keeps them all queued.
+    let mut queued = vec![parked];
+    for q in &queries[..3] {
+        queued.push(engine.submit(q.clone()).expect("queue has room"));
+    }
+    match engine.submit(queries[6].clone()) {
+        Err(ServeError::QueueFull { capacity: 4 }) => {}
+        Err(other) => panic!("expected QueueFull, got {other:?}"),
+        Ok(_) => panic!("expected QueueFull, got an admission"),
+    }
+
+    // answered ×4 (no tenant): the queued requests drain at shutdown.
     engine.shutdown();
-    assert!(parked.wait().is_ok(), "accepted request must drain at shutdown");
+    for p in queued {
+        assert!(p.wait().is_ok(), "accepted request must drain at shutdown");
+    }
+
+    // rejected ×1 (shutting down): no admissions after shutdown.
+    match engine.submit(queries[7].clone()) {
+        Err(ServeError::ShuttingDown) => {}
+        Err(other) => panic!("expected ShuttingDown, got {other:?}"),
+        Ok(_) => panic!("expected ShuttingDown, got an admission"),
+    }
 
     let want: BTreeMap<&str, u64> =
-        [("answered", 4), ("shed_admission", 1), ("shed_deadline", 1)].into_iter().collect();
+        [("answered", 7), ("rejected", 2), ("shed_admission", 1), ("shed_deadline", 1)]
+            .into_iter()
+            .collect();
+
+    // Surface 0 — the engine's own stats (every build).
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.rejected, stats.shed_admission, stats.shed_deadline),
+        (want["rejected"], want["shed_admission"], want["shed_deadline"]),
+        "EngineStats disagrees with the expected outcome counts"
+    );
 
     // Surface 1 — exemplar traces (every build). Shed traces can appear
     // in both the slowest and the recently-shed category, so count

@@ -227,47 +227,25 @@ impl Csr {
         Csr::tracked(self.cols, self.rows, indptr, indices, values)
     }
 
-    /// Sparse × dense product `self * d`.
-    ///
-    /// Cost is `O(nnz · d.cols())`; rows are processed independently and
-    /// split across threads when the work is large enough. Each output
-    /// row sums its stored entries' products in column order.
+    /// Sparse × dense product `self * d`: [`Csr::spmm_blocked`] over one
+    /// block.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn spmm(&self, d: &Dense) -> Dense {
-        self.spmm_on(d, Isa::detect())
-    }
-
-    /// [`Csr::spmm`] compiled for the given instruction set.
-    pub(crate) fn spmm_on(&self, d: &Dense, isa: Isa) -> Dense {
-        assert_eq!(
-            self.cols,
-            d.rows(),
-            "spmm shape mismatch: {}x{} * {}x{}",
-            self.rows,
-            self.cols,
-            d.rows(),
-            d.cols()
-        );
-        let n = d.cols();
-        let mut out = Dense::zeros(self.rows, n);
-        let parallel = self.nnz() * n >= PARALLEL_FLOP_THRESHOLD;
-        kernel::for_unit_chunks(out.as_mut_slice(), n, self.rows, parallel, |first, chunk| {
-            self.spmm_rows(isa, d, 0, first, chunk);
-        });
-        out
+        self.spmm_blocked(d, 1)
     }
 
     /// Block-diagonal sparse × dense product: applies `self` to each of
     /// `blocks` vertically-stacked row blocks of `d` independently.
     ///
     /// `d` must have `blocks · self.cols()` rows; the result has
-    /// `blocks · self.rows()` rows. Block `k` of the output equals
-    /// `self.spmm(block k of d)` bit-for-bit: both run the same row kernel,
-    /// so batched serving stays bit-identical to the sequential path.
-    /// Blocks are independent and split across threads when the work is
-    /// large enough.
+    /// `blocks · self.rows()` rows. Cost is `O(blocks · nnz · d.cols())`.
+    /// Every output row sums its stored entries' products in column order
+    /// through the same row kernel, so block `k` of the output equals
+    /// `self.spmm(block k of d)` bit-for-bit and batched serving stays
+    /// bit-identical to single queries. Output rows are split across
+    /// threads when the work is large enough.
     ///
     /// # Panics
     /// Panics if `blocks` is zero or `d.rows() != blocks · self.cols()`.
@@ -277,11 +255,11 @@ impl Csr {
 
     /// [`Csr::spmm_blocked`] compiled for the given instruction set.
     pub(crate) fn spmm_blocked_on(&self, d: &Dense, blocks: usize, isa: Isa) -> Dense {
-        assert!(blocks > 0, "spmm_blocked: blocks must be positive");
+        assert!(blocks > 0, "spmm: blocks must be positive");
         assert_eq!(
             self.cols * blocks,
             d.rows(),
-            "spmm_blocked shape mismatch: {}x{} over {} blocks * {}x{}",
+            "spmm shape mismatch: {}x{} over {} blocks * {}x{}",
             self.rows,
             self.cols,
             blocks,
@@ -289,26 +267,26 @@ impl Csr {
             d.cols()
         );
         let n = d.cols();
-        let mut out = Dense::zeros(self.rows * blocks, n);
-        let block_len = self.rows * n;
-        if block_len == 0 {
-            return out;
-        }
+        let rows = self.rows * blocks;
+        let mut out = Dense::zeros(rows, n);
         let parallel = self.nnz() * n * blocks >= PARALLEL_FLOP_THRESHOLD;
-        kernel::for_unit_chunks(out.as_mut_slice(), block_len, blocks, parallel, |first, chunk| {
-            for (i, block_out) in chunk.chunks_mut(block_len).enumerate() {
-                self.spmm_rows(isa, d, (first + i) * self.cols, 0, block_out);
+        kernel::for_unit_chunks(out.as_mut_slice(), n, rows, parallel, |first, chunk| {
+            // A chunk of output rows can straddle blocks: run the row
+            // kernel once per block it touches.
+            let (mut row, mut rest) = (first, chunk);
+            while !rest.is_empty() {
+                let (block, r) = (row / self.rows, row % self.rows);
+                let len = ((self.rows - r) * n).min(rest.len());
+                let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                let d_row_off = block * self.cols;
+                kernel::weighted_rows(isa, part, n, d.as_slice(), |i| {
+                    self.row_iter(r + i).map(move |(c, v)| (d_row_off + c, v))
+                });
+                row += len / n;
+                rest = tail;
             }
         });
         out
-    }
-
-    /// Row kernel of both products: fills `out` (whole rows) with rows
-    /// `row_start..` of `self · d[d_row_off .. d_row_off + self.cols]`.
-    fn spmm_rows(&self, isa: Isa, d: &Dense, d_row_off: usize, row_start: usize, out: &mut [f32]) {
-        kernel::weighted_rows(isa, out, d.cols(), d.as_slice(), |i| {
-            self.row_iter(row_start + i).map(move |(c, v)| (d_row_off + c, v))
-        });
     }
 
     /// Densifies the matrix (testing / small problems only).
@@ -442,13 +420,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn spmm_blocked_single_block_equals_spmm() {
-        let m = sample();
-        let d = Dense::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[2.0, 3.0], &[-1.0, 1.0]]);
-        assert!(m.spmm_blocked(&d, 1).approx_eq(&m.spmm(&d), 0.0));
     }
 
     #[test]

@@ -37,12 +37,11 @@ enum Op {
     Leaf,
     /// Dense product `a · b`.
     Matmul { a: usize, b: usize },
-    /// Sparse–dense product `m · b` where `m` is constant; `mt` is the
-    /// precomputed transpose used by the backward pass.
-    Spmm { mt: Arc<Csr>, b: usize },
-    /// Block-diagonal sparse–dense product: `m` applied to each of
-    /// `blocks` vertically-stacked row blocks of `b` (batched serving).
-    SpmmBlocked { mt: Arc<Csr>, b: usize, blocks: usize },
+    /// Block-diagonal sparse–dense product: constant `m` applied to each
+    /// of `blocks` vertically-stacked row blocks of `b` (`blocks = 1` is
+    /// the plain `m · b`); `mt` is the precomputed transpose used by the
+    /// backward pass.
+    Spmm { mt: Arc<Csr>, b: usize, blocks: usize },
     /// Elementwise `a + b`.
     Add { a: usize, b: usize },
     /// Elementwise `a − b`.
@@ -85,7 +84,6 @@ impl Op {
             Op::Leaf => "leaf",
             Op::Matmul { .. } => "matmul",
             Op::Spmm { .. } => "spmm",
-            Op::SpmmBlocked { .. } => "spmm_blocked",
             Op::Add { .. } => "add",
             Op::Sub { .. } => "sub",
             Op::Hadamard { .. } => "hadamard",
@@ -111,7 +109,6 @@ impl Op {
             Op::Leaf => "tensor.leaf.bytes",
             Op::Matmul { .. } => "tensor.matmul.bytes",
             Op::Spmm { .. } => "tensor.spmm.bytes",
-            Op::SpmmBlocked { .. } => "tensor.spmm_blocked.bytes",
             Op::Add { .. } => "tensor.add.bytes",
             Op::Sub { .. } => "tensor.sub.bytes",
             Op::Hadamard { .. } => "tensor.hadamard.bytes",
@@ -244,6 +241,14 @@ impl Tape {
     /// `mt` must be the transpose of `m` (precompute once per graph with
     /// [`Csr::transpose`] and reuse across queries/epochs).
     pub fn spmm(&mut self, m: &Arc<Csr>, mt: &Arc<Csr>, b: Var) -> Var {
+        self.spmm_blocked(m, mt, b, 1)
+    }
+
+    /// Block-diagonal sparse–dense product: `m` applied independently to
+    /// each of `blocks` vertically-stacked row blocks of `b`. Equivalent
+    /// to (and bit-identical with) `blocks` separate [`Tape::spmm`] calls
+    /// on the stacked blocks; one tape node instead of `blocks`.
+    pub fn spmm_blocked(&mut self, m: &Arc<Csr>, mt: &Arc<Csr>, b: Var, blocks: usize) -> Var {
         let _t = qdgnn_obs::op_timer("tensor.spmm");
         crate::sanitize_assert!(
             m.rows() == mt.cols() && m.cols() == mt.rows(),
@@ -253,26 +258,8 @@ impl Tape {
             m.rows(),
             m.cols()
         );
-        let v = m.spmm(self.val(b));
-        self.push(v, Op::Spmm { mt: Arc::clone(mt), b: b.0 })
-    }
-
-    /// Block-diagonal sparse–dense product: `m` applied independently to
-    /// each of `blocks` vertically-stacked row blocks of `b`. Equivalent
-    /// to (and bit-identical with) `blocks` separate [`Tape::spmm`] calls
-    /// on the stacked blocks; one tape node instead of `blocks`.
-    pub fn spmm_blocked(&mut self, m: &Arc<Csr>, mt: &Arc<Csr>, b: Var, blocks: usize) -> Var {
-        let _t = qdgnn_obs::op_timer("tensor.spmm_blocked");
-        crate::sanitize_assert!(
-            m.rows() == mt.cols() && m.cols() == mt.rows(),
-            "spmm_blocked: mt ({}x{}) is not the transpose of m ({}x{})",
-            mt.rows(),
-            mt.cols(),
-            m.rows(),
-            m.cols()
-        );
         let v = m.spmm_blocked(self.val(b), blocks);
-        self.push(v, Op::SpmmBlocked { mt: Arc::clone(mt), b: b.0, blocks })
+        self.push(v, Op::Spmm { mt: Arc::clone(mt), b: b.0, blocks })
     }
 
     /// Elementwise sum.
@@ -425,11 +412,7 @@ impl Tape {
                     accumulate(&mut grads, *a, da);
                     accumulate(&mut grads, *b, db);
                 }
-                Op::Spmm { mt, b } => {
-                    let db = mt.spmm(&g);
-                    accumulate(&mut grads, *b, db);
-                }
-                Op::SpmmBlocked { mt, b, blocks } => {
+                Op::Spmm { mt, b, blocks } => {
                     // Each block routes through Mᵀ independently, so the
                     // backward pass is the same blocked product with `mt`.
                     let db = mt.spmm_blocked(&g, *blocks);

@@ -268,19 +268,10 @@ fn fd_spmm() {
         &[(0, 0, 1.0), (0, 1, 0.5), (1, 2, 0.7), (2, 0, 0.3), (2, 2, 1.2)],
     ));
     let mt = Arc::new(m.transpose());
-    fd_check(&[(3, 2)], false, &move |t, l| t.spmm(&m, &mt, l[0]));
-}
-
-#[test]
-fn fd_spmm_blocked() {
-    let m = Arc::new(Csr::from_triplets(
-        3,
-        3,
-        &[(0, 0, 1.0), (0, 1, 0.5), (1, 2, 0.7), (2, 0, 0.3), (2, 2, 1.2)],
-    ));
-    let mt = Arc::new(m.transpose());
-    // Two stacked 3-row blocks flow through the same sparse matrix.
-    fd_check(&[(6, 2)], false, &move |t, l| t.spmm_blocked(&m, &mt, l[0], 2));
+    // One block, then two stacked 3-row blocks through the same matrix.
+    for blocks in [1, 2] {
+        fd_check(&[(3 * blocks, 2)], false, &|t, l| t.spmm_blocked(&m, &mt, l[0], blocks));
+    }
 }
 
 #[test]
