@@ -86,7 +86,7 @@ fn assert_batch_matches_sequential(model: &dyn CsModel, t: &GraphTensors, querie
 fn all_models_are_bit_identical_at_fixed_batch_sizes() {
     let (t, queries) = setup();
     for model in models(t.d) {
-        for k in [1usize, 2, 5, 8] {
+        for k in [1usize, 2, 5, 8, 16] {
             assert_batch_matches_sequential(model.as_ref(), &t, &queries[..k]);
         }
     }

@@ -7,12 +7,11 @@
 //! qdgnn-obs-runs diff   <run-root> <a> <b>       # compare final series values
 //! ```
 //!
-//! `diff` judges `b` (candidate) against `a` (baseline) with the bench
-//! regression gate's noise-tolerant thresholds (warn above ×1.10, fail
-//! above ×1.25 — the shared `qdgnn_obs::series` constants) and exits
-//! nonzero when any gated series regressed past the fail ratio or
-//! vanished, so CI can gate on run-to-run drift the same way it gates
-//! on bench drift.
+//! `diff` judges `b` (candidate) against `a` (baseline) with
+//! noise-tolerant thresholds (warn above ×1.10, fail above ×1.25 — the
+//! `qdgnn_obs::series` constants) and exits nonzero when any gated
+//! series regressed past the fail ratio or vanished, so CI can gate on
+//! run-to-run drift.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -17,21 +17,18 @@
 //! Points carry no timestamps for exactly that reason — crash/resume
 //! bit-identity of the journal is a tested contract.
 //!
-//! The diff thresholds ([`WARN_RATIO`], [`FAIL_RATIO`]) are the
-//! canonical noise-tolerance constants for the whole workspace: the
-//! bench regression gate (`qdgnn-bench compare`) re-exports them, so a
-//! training-run diff and a serve-latency gate judge "regression" the
-//! same way.
+//! The diff thresholds ([`WARN_RATIO`], [`FAIL_RATIO`]) are the noise
+//! tolerance `qdgnn-obs-runs diff` applies when it judges one training
+//! run against another.
 
 use std::collections::BTreeMap;
 
 use crate::json;
 
-/// Ratio above which a compared series fails ([`diff_stores`]); shared
-/// with the bench regression gate.
+/// Ratio above which a compared series fails ([`diff_stores`]).
 pub const FAIL_RATIO: f64 = 1.25;
 /// Ratio above which a compared series warns (but at most
-/// [`FAIL_RATIO`]); shared with the bench regression gate.
+/// [`FAIL_RATIO`]).
 pub const WARN_RATIO: f64 = 1.10;
 
 /// One journaled observation of one series at one step.
@@ -292,12 +289,12 @@ fn judge(ratio: f64) -> DiffVerdict {
 }
 
 /// Compares the final value of every series of `baseline` against
-/// `candidate` with the bench gate's noise-tolerant thresholds: a gated
+/// `candidate` with noise-tolerant thresholds: a gated
 /// series regressed past ×[`FAIL_RATIO`] fails, past ×[`WARN_RATIO`]
 /// warns. A gated series present in the baseline but missing from the
 /// candidate fails (the metric vanished); a series new in the candidate
 /// is informational. A non-positive baseline value passes (no meaningful
-/// ratio), mirroring `qdgnn_bench::gate`.
+/// ratio).
 pub fn diff_stores(baseline: &SeriesStore, candidate: &SeriesStore) -> Vec<SeriesDiff> {
     let mut names: Vec<&str> = baseline.names();
     for n in candidate.names() {
