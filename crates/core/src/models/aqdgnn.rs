@@ -20,11 +20,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qdgnn_nn::{BatchNorm1d, Dropout, Mode};
-use qdgnn_tensor::{ParamId, ParamStore, Tape, Var};
+use qdgnn_tensor::{Dense, ParamId, ParamStore, Tape};
 
-use super::blocks::{EncoderLayer, FeatureInput, ForwardCtx, FusionOp, GraphEncoder, Post};
-use super::{apply_output_head, output_head, CsModel, ForwardResult, GraphCache};
-use crate::config::ModelConfig;
+use super::blocks::{
+    EncoderLayer, EvalExec, Exec, FeatureInput, ForwardCtx, FusionOp, GraphEncoder, OutputHead,
+    Post, Val,
+};
+use super::{CsModel, ForwardResult, GraphCache};
+use crate::config::{FusionAgg, ModelConfig};
 use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
 
 /// The AQD-GNN model of §6.
@@ -39,7 +42,7 @@ pub struct AqdGnn {
     /// N→A attribute-side updates (Eq. 10), layers 2..k.
     na_layers: Vec<EncoderLayer>,
     fusions: Vec<FusionOp>,
-    head: (ParamId, ParamId),
+    head: OutputHead,
 }
 
 impl AqdGnn {
@@ -137,69 +140,63 @@ impl AqdGnn {
                 FusionOp::new(&mut store, &format!("aqdgnn.fuse{l}"), config.fusion, 3, h, &mut rng)
             })
             .collect();
-        let head = output_head(&mut store, "aqdgnn", fused, &mut rng);
+        let head = OutputHead::new(&mut store, "aqdgnn", fused, &mut rng);
         let graph = GraphEncoder::new(g_layers);
         AqdGnn { config, store, bns, q_layers, graph, an_layers, na_layers, fusions, head }
     }
 
     /// Runs the query- and attribute-dependent branches plus the output
-    /// head, given per-layer Graph Encoder outputs.
+    /// head, given per-layer Graph Encoder outputs: the model's one
+    /// forward body, recorded on a tape or run by the eval executor.
     // Several parallel arrays (layers, fusions, cached g) are indexed by
     // the same layer counter; an iterator rewrite would obscure that.
     #[allow(clippy::needless_range_loop)]
-    fn query_branches_and_head<R: rand::Rng>(
+    fn query_branches_and_head<E: Exec>(
         &self,
-        ctx: &mut ForwardCtx<'_, R>,
+        ex: &mut E,
         inputs: &GraphTensors,
-        qv: Var,
-        fq: Var,
-        g_vars: &[Var],
-    ) -> Var {
+        qv: E::V,
+        fq: E::V,
+        g: &[E::V],
+    ) -> E::V {
+        use FeatureInput::Dense as In;
         let adj = (&inputs.adj, &inputs.adj_t);
         let bip = (&inputs.bip, &inputs.bip_t);
         let bip_rev = (&inputs.bip_t, &inputs.bip);
+        let fused = self.config.feature_fusion;
 
         // Layer 1 (Algorithm 3, lines 7–10).
-        let mut q = self.q_layers[0].forward(
-            ctx,
-            FeatureInput::Dense(qv),
-            FeatureInput::Dense(qv),
-            adj,
-        );
-        let mut n = self.an_layers[0].forward(
-            ctx,
-            FeatureInput::Dense(fq),
-            FeatureInput::Dense(fq),
-            bip,
-        );
-        let mut ff = self.fusions[0].apply(ctx, &[g_vars[0], q, n]);
+        let mut q = ex.layer(&self.q_layers[0], In(&qv), In(&qv), adj);
+        let mut n = ex.layer(&self.an_layers[0], In(&fq), In(&fq), bip);
+        let mut ff = ex.fuse(&self.fusions[0], &[g[0].clone(), q.clone(), n.clone()]);
         let mut a = fq;
 
         // Intermediate + final layers (lines 12–18).
         for l in 1..self.config.layers {
-            let q_agg = if self.config.feature_fusion { ff } else { q };
-            q = self.q_layers[l].forward(
-                ctx,
-                FeatureInput::Dense(q),
-                FeatureInput::Dense(q_agg),
-                adj,
-            );
-            let node_in = if self.config.feature_fusion { ff } else { n };
-            a = self.na_layers[l - 1].forward(
-                ctx,
-                FeatureInput::Dense(a),
-                FeatureInput::Dense(node_in),
-                bip_rev,
-            );
-            n = self.an_layers[l].forward(
-                ctx,
-                FeatureInput::Dense(a),
-                FeatureInput::Dense(a),
-                bip,
-            );
-            ff = self.fusions[l].apply(ctx, &[g_vars[l], q, n]);
+            q = ex.layer(&self.q_layers[l], In(&q), In(if fused { &ff } else { &q }), adj);
+            a = ex.layer(&self.na_layers[l - 1], In(&a), In(if fused { &ff } else { &n }), bip_rev);
+            n = ex.layer(&self.an_layers[l], In(&a), In(&a), bip);
+            ff = ex.fuse(&self.fusions[l], &[g[l].clone(), q.clone(), n.clone()]);
         }
-        apply_output_head(ctx, self.head, ff)
+        ex.head(&self.head, &ff)
+    }
+
+    /// Every weight that consumes a concatenated fused feature, with the
+    /// layer it consumes: the products whose Graph Encoder share the
+    /// cache keeps.
+    fn concat_consumers(&self) -> Vec<(usize, ParamId)> {
+        if self.config.fusion != FusionAgg::Concat {
+            return Vec::new();
+        }
+        let last = self.config.layers - 1;
+        let mut consumers = vec![(last, self.head.weight())];
+        if self.config.feature_fusion {
+            for l in 0..last {
+                consumers.push((l, self.q_layers[l + 1].w_agg()));
+                consumers.push((l, self.na_layers[l].w_agg()));
+            }
+        }
+        consumers
     }
 }
 
@@ -248,30 +245,30 @@ impl CsModel for AqdGnn {
             Dropout::new(self.config.dropout),
             rng,
         );
-        let g_vars = self.graph.forward(&mut ctx, inputs);
+        let g = self.graph.forward(&mut ctx, inputs);
         let qv = ctx.tape.constant(query.vertex_onehot.clone());
         let fq = ctx.tape.constant(query.attr_onehot.clone());
-        let logits = self.query_branches_and_head(&mut ctx, inputs, qv, fq, &g_vars);
+        let logits = self.query_branches_and_head(&mut ctx, inputs, qv, fq, &g);
         ForwardResult { logits, leaves: ctx.leaves, bn_stats: ctx.stats }
     }
 
     fn build_graph_cache(&self, inputs: &GraphTensors) -> Option<GraphCache> {
-        Some(self.graph.build_cache(&self.store, &self.bns, inputs))
+        let consumers = self.concat_consumers();
+        Some(self.graph.build_cache(&self.store, &self.bns, inputs, &consumers))
     }
 
     fn forward_batched_eval(
         &self,
-        tape: &mut Tape,
         inputs: &GraphTensors,
         cache: &GraphCache,
         batch: &QueryBatch,
-    ) -> Var {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ForwardCtx::eval(tape, &self.store, &self.bns, &mut rng, batch.len());
-        let g_vars = self.graph.cached(&mut ctx, cache);
-        let qv = ctx.tape.constant(batch.vertex_onehot.clone());
-        let fq = ctx.tape.constant(batch.attr_onehot.clone());
-        self.query_branches_and_head(&mut ctx, inputs, qv, fq, &g_vars)
+    ) -> Dense {
+        assert_eq!(cache.layers.len(), self.config.layers, "cache layer-count mismatch");
+        let mut ex = EvalExec::new(&self.store, &self.bns, cache, batch.len());
+        let g = ex.graph();
+        let (qv, fq) = (Val::Input(&batch.vertex_onehot), Val::Input(&batch.attr_onehot));
+        let logits = self.query_branches_and_head(&mut ex, inputs, qv, fq, &g);
+        ex.take_rows(logits)
     }
 }
 

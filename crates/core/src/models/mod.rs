@@ -24,15 +24,28 @@ use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
 /// The Graph Encoder never consumes query information (Algorithm 2/3
 /// keep it feeding on its own output), so at serving time its k forward
 /// layers are identical for every query — caching them turns the online
-/// stage into query-branch-only work. Build with
-/// [`CsModel::build_graph_cache`]; every eval path
+/// stage into query-branch-only work. With [`crate::FusionAgg::Concat`]
+/// the cache also holds, for every weight `W` that consumes the fused
+/// feature `[g_l | q | n]`, the Graph Encoder's share `g_l · W[..h]` of
+/// that product, so serving computes only the query-dependent rest. Build
+/// with [`CsModel::build_graph_cache`]; every eval path
 /// ([`predict_scores_batch`] and its batch-of-one
 /// [`predict_scores_cached`]) reads it. Models without a graph branch
 /// (Simple QD-GNN) serve from the empty (default) cache.
 #[derive(Clone, Default)]
 pub struct GraphCache {
     /// Post-processed Graph Encoder output per layer (n × hidden each).
-    pub layers: Vec<std::sync::Arc<Dense>>,
+    pub layers: Vec<Dense>,
+    /// `(W, g_l · W[..hidden])` per weight consuming a concatenated fused
+    /// feature.
+    partials: Vec<(ParamId, Dense)>,
+}
+
+impl GraphCache {
+    /// The cached Graph Encoder share of the product with `w`, if any.
+    pub(crate) fn partial(&self, w: ParamId) -> Option<&Dense> {
+        self.partials.iter().find(|(id, _)| *id == w).map(|(_, p)| p)
+    }
 }
 
 /// Output of one model forward pass.
@@ -117,21 +130,20 @@ pub trait CsModel: Send + Sync {
         None
     }
 
-    /// Records one eval-mode forward pass over a whole [`QueryBatch`] —
-    /// `K` queries stacked vertically so each tape op runs once per layer
-    /// instead of once per query — reusing `cache` (built by
-    /// [`CsModel::build_graph_cache`] on the same graph and weights, or
-    /// empty for a model without a graph branch). Returns the stacked
-    /// `K·n × 1` logits, bit-identical per row block to `K` eval-mode
-    /// [`CsModel::forward`] passes. This is the only serving inference
-    /// path; a single query is a batch of one.
+    /// Runs one eval-mode forward pass over a whole [`QueryBatch`] —
+    /// `K` queries stacked vertically so each kernel runs once per layer
+    /// instead of once per query — on plain buffers with no tape, reusing
+    /// `cache` (built by [`CsModel::build_graph_cache`] on the same graph
+    /// and weights, or empty for a model without a graph branch). Returns
+    /// the stacked `K·n × 1` logits, bit-identical per row block to `K`
+    /// eval-mode [`CsModel::forward`] passes. This is the only serving
+    /// inference path; a single query is a batch of one.
     fn forward_batched_eval(
         &self,
-        tape: &mut Tape,
         inputs: &GraphTensors,
         cache: &GraphCache,
         batch: &QueryBatch,
-    ) -> Var;
+    ) -> Dense;
 
     /// Folds a batch's BN statistics into the running estimates.
     fn apply_bn_stats(&mut self, stats: &[(usize, BnStats)]) {
@@ -207,12 +219,11 @@ impl CsModel for Box<dyn CsModel> {
 
     fn forward_batched_eval(
         &self,
-        tape: &mut Tape,
         inputs: &GraphTensors,
         cache: &GraphCache,
         batch: &QueryBatch,
-    ) -> Var {
-        (**self).forward_batched_eval(tape, inputs, cache, batch)
+    ) -> Dense {
+        (**self).forward_batched_eval(inputs, cache, batch)
     }
 }
 
@@ -266,33 +277,11 @@ pub fn predict_scores_batch(
             &built
         }
     };
-    let mut tape = Tape::new();
-    let logits = model.forward_batched_eval(&mut tape, inputs, cache, batch);
-    let scores = tape.sigmoid(logits);
-    tape.value(scores).as_slice().chunks(batch.n().max(1)).map(<[f32]>::to_vec).collect()
+    let logits = model.forward_batched_eval(inputs, cache, batch);
+    let _t = qdgnn_obs::op_timer("tensor.sigmoid");
+    logits
+        .as_slice()
+        .chunks(batch.n().max(1))
+        .map(|block| block.iter().map(|&x| qdgnn_tensor::ops::sigmoid(x)).collect())
+        .collect()
 }
-
-/// Builds the model's scalar output head (fused features → logits).
-pub(crate) fn output_head(
-    store: &mut ParamStore,
-    name: &str,
-    in_dim: usize,
-    rng: &mut StdRng,
-) -> (ParamId, ParamId) {
-    let w = store.xavier(format!("{name}.out.weight"), in_dim, 1, rng);
-    let b = store.zeros(format!("{name}.out.bias"), 1, 1);
-    (w, b)
-}
-
-/// Applies the output head inside a forward pass.
-pub(crate) fn apply_output_head<R: rand::Rng>(
-    ctx: &mut blocks::ForwardCtx<'_, R>,
-    head: (ParamId, ParamId),
-    fused: Var,
-) -> Var {
-    let w = ctx.param(head.0);
-    let b = ctx.param(head.1);
-    let y = ctx.tape.matmul(fused, w);
-    ctx.tape.add_row(y, b)
-}
-

@@ -15,11 +15,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qdgnn_nn::{BatchNorm1d, Dropout, Mode};
-use qdgnn_tensor::{ParamId, ParamStore, Tape, Var};
+use qdgnn_tensor::{Dense, ParamId, ParamStore, Tape};
 
-use super::blocks::{EncoderLayer, FeatureInput, ForwardCtx, FusionOp, GraphEncoder, Post};
-use super::{apply_output_head, output_head, CsModel, ForwardResult, GraphCache};
-use crate::config::ModelConfig;
+use super::blocks::{
+    EncoderLayer, EvalExec, Exec, FeatureInput, ForwardCtx, FusionOp, GraphEncoder, OutputHead,
+    Post, Val,
+};
+use super::{CsModel, ForwardResult, GraphCache};
+use crate::config::{FusionAgg, ModelConfig};
 use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
 
 /// The QD-GNN model of §5.2.
@@ -30,7 +33,7 @@ pub struct QdGnn {
     q_layers: Vec<EncoderLayer>,
     graph: GraphEncoder,
     fusions: Vec<FusionOp>,
-    head: (ParamId, ParamId),
+    head: OutputHead,
 }
 
 impl QdGnn {
@@ -93,45 +96,49 @@ impl QdGnn {
                 FusionOp::new(&mut store, &format!("qdgnn.fuse{l}"), config.fusion, 2, h, &mut rng)
             })
             .collect();
-        let head = output_head(&mut store, "qdgnn", fused, &mut rng);
+        let head = OutputHead::new(&mut store, "qdgnn", fused, &mut rng);
         let graph = GraphEncoder::new(g_layers);
         QdGnn { config, store, bns, q_layers, graph, fusions, head }
     }
 
     /// Runs the query-dependent part given the (possibly batch-stacked)
     /// query one-hot `qv` and per-layer Graph Encoder outputs (freshly
-    /// computed, cached, or cache-tiled for a batch).
-    // Several parallel arrays (layers, fusions, cached g) are indexed by
-    // the same layer counter; an iterator rewrite would obscure that.
-    #[allow(clippy::needless_range_loop)]
-    fn query_branch_and_head<R: rand::Rng>(
+    /// computed or cached): the model's one forward body, recorded on a
+    /// tape or run by the eval executor.
+    fn query_branch_and_head<E: Exec>(
         &self,
-        ctx: &mut ForwardCtx<'_, R>,
+        ex: &mut E,
         inputs: &GraphTensors,
-        qv: Var,
-        g_vars: &[Var],
-    ) -> Var {
+        qv: E::V,
+        g: &[E::V],
+    ) -> E::V {
+        use FeatureInput::Dense as In;
         let adj = (&inputs.adj, &inputs.adj_t);
         // Layer 1 (Algorithm 2, lines 6–8).
-        let mut q = self.q_layers[0].forward(
-            ctx,
-            FeatureInput::Dense(qv),
-            FeatureInput::Dense(qv),
-            adj,
-        );
-        let mut ff = self.fusions[0].apply(ctx, &[g_vars[0], q]);
+        let mut q = ex.layer(&self.q_layers[0], In(&qv), In(&qv), adj);
+        let mut ff = ex.fuse(&self.fusions[0], &[g[0].clone(), q.clone()]);
         // Intermediate + final layers (lines 10–14).
-        for l in 1..self.config.layers {
-            let q_agg = if self.config.feature_fusion { ff } else { q };
-            q = self.q_layers[l].forward(
-                ctx,
-                FeatureInput::Dense(q),
-                FeatureInput::Dense(q_agg),
-                adj,
-            );
-            ff = self.fusions[l].apply(ctx, &[g_vars[l], q]);
+        for (l, (layer, fusion)) in self.q_layers.iter().zip(&self.fusions).enumerate().skip(1) {
+            let q_agg = if self.config.feature_fusion { &ff } else { &q };
+            q = ex.layer(layer, In(&q), In(q_agg), adj);
+            ff = ex.fuse(fusion, &[g[l].clone(), q.clone()]);
         }
-        apply_output_head(ctx, self.head, ff)
+        ex.head(&self.head, &ff)
+    }
+
+    /// Every weight that consumes a concatenated fused feature, with the
+    /// layer it consumes: the products whose Graph Encoder share the
+    /// cache keeps.
+    fn concat_consumers(&self) -> Vec<(usize, ParamId)> {
+        if self.config.fusion != FusionAgg::Concat {
+            return Vec::new();
+        }
+        let last = self.config.layers - 1;
+        let mut consumers = vec![(last, self.head.weight())];
+        if self.config.feature_fusion {
+            consumers.extend((0..last).map(|l| (l, self.q_layers[l + 1].w_agg())));
+        }
+        consumers
     }
 }
 
@@ -176,28 +183,29 @@ impl CsModel for QdGnn {
             Dropout::new(self.config.dropout),
             rng,
         );
-        let g_vars = self.graph.forward(&mut ctx, inputs);
+        let g = self.graph.forward(&mut ctx, inputs);
         let qv = ctx.tape.constant(query.vertex_onehot.clone());
-        let logits = self.query_branch_and_head(&mut ctx, inputs, qv, &g_vars);
+        let logits = self.query_branch_and_head(&mut ctx, inputs, qv, &g);
         ForwardResult { logits, leaves: ctx.leaves, bn_stats: ctx.stats }
     }
 
     fn build_graph_cache(&self, inputs: &GraphTensors) -> Option<GraphCache> {
-        Some(self.graph.build_cache(&self.store, &self.bns, inputs))
+        let consumers = self.concat_consumers();
+        Some(self.graph.build_cache(&self.store, &self.bns, inputs, &consumers))
     }
 
     fn forward_batched_eval(
         &self,
-        tape: &mut Tape,
         inputs: &GraphTensors,
         cache: &GraphCache,
         batch: &QueryBatch,
-    ) -> Var {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ForwardCtx::eval(tape, &self.store, &self.bns, &mut rng, batch.len());
-        let g_vars = self.graph.cached(&mut ctx, cache);
-        let qv = ctx.tape.constant(batch.vertex_onehot.clone());
-        self.query_branch_and_head(&mut ctx, inputs, qv, &g_vars)
+    ) -> Dense {
+        assert_eq!(cache.layers.len(), self.config.layers, "cache layer-count mismatch");
+        let mut ex = EvalExec::new(&self.store, &self.bns, cache, batch.len());
+        let g = ex.graph();
+        let logits =
+            self.query_branch_and_head(&mut ex, inputs, Val::Input(&batch.vertex_onehot), &g);
+        ex.take_rows(logits)
     }
 }
 

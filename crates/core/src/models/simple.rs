@@ -9,10 +9,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qdgnn_nn::{BatchNorm1d, Dropout, Mode};
-use qdgnn_tensor::{ParamId, ParamStore, Tape, Var};
+use qdgnn_tensor::{Dense, ParamStore, Tape};
 
-use super::blocks::{EncoderLayer, FeatureInput, ForwardCtx, Post};
-use super::{apply_output_head, output_head, CsModel, ForwardResult, GraphCache};
+use super::blocks::{
+    EncoderLayer, EvalExec, Exec, FeatureInput, ForwardCtx, OutputHead, Post, Val,
+};
+use super::{CsModel, ForwardResult, GraphCache};
 use crate::config::ModelConfig;
 use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
 
@@ -22,7 +24,7 @@ pub struct SimpleQdGnn {
     store: ParamStore,
     bns: Vec<BatchNorm1d>,
     layers: Vec<EncoderLayer>,
-    head: (ParamId, ParamId),
+    head: OutputHead,
 }
 
 impl SimpleQdGnn {
@@ -56,25 +58,21 @@ impl SimpleQdGnn {
                 &mut rng,
             ));
         }
-        let head = output_head(&mut store, "simple", h, &mut rng);
+        let head = OutputHead::new(&mut store, "simple", h, &mut rng);
         SimpleQdGnn { config, store, bns, layers, head }
     }
 
     /// The single query-propagation branch plus head, from a (possibly
-    /// batch-stacked) query one-hot already on the tape.
-    fn branch_and_head<R: rand::Rng>(
-        &self,
-        ctx: &mut ForwardCtx<'_, R>,
-        inputs: &GraphTensors,
-        qv: Var,
-    ) -> Var {
+    /// batch-stacked) query one-hot: the model's one forward body,
+    /// recorded on a tape or run by the eval executor.
+    fn branch_and_head<E: Exec>(&self, ex: &mut E, inputs: &GraphTensors, qv: E::V) -> E::V {
+        use FeatureInput::Dense as In;
         let adj = (&inputs.adj, &inputs.adj_t);
-        let mut h =
-            self.layers[0].forward(ctx, FeatureInput::Dense(qv), FeatureInput::Dense(qv), adj);
+        let mut h = ex.layer(&self.layers[0], In(&qv), In(&qv), adj);
         for layer in &self.layers[1..] {
-            h = layer.forward(ctx, FeatureInput::Dense(h), FeatureInput::Dense(h), adj);
+            h = ex.layer(layer, In(&h), In(&h), adj);
         }
-        apply_output_head(ctx, self.head, h)
+        ex.head(&self.head, &h)
     }
 }
 
@@ -126,16 +124,14 @@ impl CsModel for SimpleQdGnn {
 
     fn forward_batched_eval(
         &self,
-        tape: &mut Tape,
         inputs: &GraphTensors,
-        _cache: &GraphCache,
+        cache: &GraphCache,
         batch: &QueryBatch,
-    ) -> Var {
+    ) -> Dense {
         // No graph branch to cache: the whole model is the query branch.
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ForwardCtx::eval(tape, &self.store, &self.bns, &mut rng, batch.len());
-        let qv = ctx.tape.constant(batch.vertex_onehot.clone());
-        self.branch_and_head(&mut ctx, inputs, qv)
+        let mut ex = EvalExec::new(&self.store, &self.bns, cache, batch.len());
+        let logits = self.branch_and_head(&mut ex, inputs, Val::Input(&batch.vertex_onehot));
+        ex.take_rows(logits)
     }
 }
 

@@ -1,20 +1,22 @@
 //! The serving inference path must be bit-identical to the reference
 //! forward pass.
 //!
-//! Serving stacks `K` encoded queries vertically and runs one forward
-//! pass over the cached Graph Encoder output (a single query is a batch
-//! of one); every eval-mode op it uses is per-row except `spmm`, whose
-//! blocked variant applies the same adjacency to each row block. These
-//! tests pin the resulting guarantee — per-query scores from
+//! Serving stacks `K` encoded queries vertically and runs one tape-free
+//! forward pass over the cached Graph Encoder output (a single query is
+//! a batch of one): fused kernels whose epilogues replace the tape's
+//! elementwise ops, the block-diagonal SpMM, and — under concatenation
+//! fusion — products that continue from the cached Graph Encoder share.
+//! These tests pin the resulting guarantee — per-query scores from
 //! `predict_scores_batch` carry the exact bits of `predict_scores`, the
-//! eval-mode tape forward — across all three models, with and without a
-//! cache, for fixed and property-sampled batch sizes including K=1.
+//! eval-mode tape forward — across all three models, every fusion
+//! variant, with and without a cache, untrained and trained, for fixed
+//! and property-sampled batch sizes including K=1.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use qdgnn_core::config::ModelConfig;
+use qdgnn_core::config::{FusionAgg, ModelConfig};
 use qdgnn_core::inputs::{GraphTensors, QueryBatch, QueryVectors};
 use qdgnn_core::models::{
     predict_scores, predict_scores_batch, AqdGnn, CsModel, QdGnn, SimpleQdGnn,
@@ -63,8 +65,10 @@ fn assert_batch_matches_sequential(model: &dyn CsModel, t: &GraphTensors, querie
         assert_eq!(
             want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            "{}: uncached batch diverged from the tape reference",
-            model.name()
+            "{} ({:?}, feature fusion {}): uncached batch diverged from the tape reference",
+            model.name(),
+            model.config().fusion,
+            model.config().feature_fusion
         );
     }
 
@@ -75,8 +79,10 @@ fn assert_batch_matches_sequential(model: &dyn CsModel, t: &GraphTensors, querie
             assert_eq!(
                 want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                 got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                "{}: cached batch diverged from the tape reference",
-                model.name()
+                "{} ({:?}, feature fusion {}): cached batch diverged from the tape reference",
+                model.name(),
+                model.config().fusion,
+                model.config().feature_fusion
             );
         }
     }
@@ -90,6 +96,45 @@ fn all_models_are_bit_identical_at_fixed_batch_sizes() {
             assert_batch_matches_sequential(model.as_ref(), &t, &queries[..k]);
         }
     }
+}
+
+/// The fusion variants beside `fast()`'s concatenation with feature
+/// fusion: each takes its own branch of the eval executor.
+fn fusion_variants() -> Vec<ModelConfig> {
+    let fast = ModelConfig::fast();
+    vec![
+        ModelConfig { fusion: FusionAgg::Sum, ..fast.clone() },
+        ModelConfig { fusion: FusionAgg::Attention, ..fast.clone() },
+        ModelConfig { feature_fusion: false, ..fast.clone() },
+        ModelConfig { fusion: FusionAgg::Sum, feature_fusion: false, ..fast },
+    ]
+}
+
+#[test]
+fn fusion_variants_are_bit_identical_at_k1_and_k16() {
+    let (t, queries) = setup();
+    for config in fusion_variants() {
+        let models: Vec<Box<dyn CsModel>> =
+            vec![Box::new(QdGnn::new(config.clone(), t.d)), Box::new(AqdGnn::new(config, t.d))];
+        for model in &models {
+            for k in [1, 16] {
+                assert_batch_matches_sequential(model.as_ref(), &t, &queries[..k]);
+            }
+        }
+    }
+}
+
+#[test]
+fn trained_qdgnn_preserves_bit_identity() {
+    let (t, queries) = setup();
+    let split = QuerySplit::new(queries, 16, 8, 8);
+    let trained = Trainer::new(TrainConfig { epochs: 5, ..TrainConfig::fast() }).train(
+        QdGnn::new(ModelConfig::fast(), t.d),
+        &t,
+        &split.train,
+        &split.val,
+    );
+    assert_batch_matches_sequential(&trained.model, &t, &split.test);
 }
 
 #[test]

@@ -157,9 +157,9 @@ impl BatchNorm1d {
                 (y, leaves, Some(stats))
             }
             Mode::Eval => {
-                let neg_mu = tape.constant(self.running_mean.scaled(-1.0));
-                let istd =
-                    tape.constant(self.running_var.map(|v| 1.0 / (v + self.eps).sqrt()));
+                let (neg_mu, istd) = self.eval_shift_scale();
+                let neg_mu = tape.constant(neg_mu);
+                let istd = tape.constant(istd);
                 let xc = tape.add_row(x, neg_mu);
                 let xhat = tape.mul_row(xc, istd);
                 let scaled = tape.mul_row(xhat, g);
@@ -167,6 +167,20 @@ impl BatchNorm1d {
                 (y, leaves, None)
             }
         }
+    }
+
+    /// The eval-mode constants `(−running_mean, 1/√(running_var + ε))`:
+    /// eval batch norm is `((x + neg_mean) · inv_std) · γ + β`, recorded
+    /// op by op by [`BatchNorm1d::forward`] and fused into one kernel
+    /// epilogue by the serving executor, both from these values.
+    pub fn eval_shift_scale(&self) -> (Dense, Dense) {
+        let neg_mean = self.running_mean.scaled(-1.0);
+        (neg_mean, self.running_var.map(|v| 1.0 / (v + self.eps).sqrt()))
+    }
+
+    /// The `(γ, β)` parameter ids.
+    pub fn affine_params(&self) -> (ParamId, ParamId) {
+        (self.gamma, self.beta)
     }
 
     /// Folds batch statistics into the running estimates:

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::kernel::{self, Isa, PARALLEL_FLOP_THRESHOLD};
+use crate::kernel::{self, Epilogue, Isa, PARALLEL_FLOP_THRESHOLD};
 
 /// A row-major dense matrix of `f32`.
 ///
@@ -214,41 +214,95 @@ impl Dense {
         out
     }
 
-    /// `self * other` (dense × dense).
+    /// `self * other` (dense × dense): [`Dense::matmul_fused`] with no
+    /// prefix and no epilogue.
     ///
     /// Bit-identical to the zero-skipping `i-k-j` AXPY loop: each output
     /// element sums `a[i][k] · b[k][j]` in `k` order from `+0.0`, without
     /// FMA. That accumulator can never be `-0.0` under round-to-nearest,
     /// so for a finite `other` adding a `0 · b` term changes nothing and
     /// the kernel needs no zero test. When `other` holds `inf` or `NaN`
-    /// (where `0 · inf` would be `NaN`) the skipping loop runs instead.
+    /// (where `0 · inf` would be `NaN`) the kernel skips zero terms.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Dense) -> Dense {
-        self.matmul_on(other, Isa::detect())
+        Dense::matmul_fused(None, &[self], other, &Epilogue::default())
     }
 
-    /// [`Dense::matmul`] compiled for the given instruction set.
-    pub(crate) fn matmul_on(&self, other: &Dense, isa: Isa) -> Dense {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Dense::zeros(self.rows, other.cols);
-        let n = other.cols;
-        let parallel = self.rows * self.cols * n >= PARALLEL_FLOP_THRESHOLD;
-        let finite = other.is_finite();
-        kernel::for_unit_chunks(out.as_mut_slice(), n, self.rows, parallel, |first, chunk| {
-            if finite {
-                kernel::weighted_rows(isa, chunk, n, &other.data, |i| {
-                    self.row(first + i).iter().copied().enumerate()
-                });
-            } else {
-                matmul_rows_skipping(self, other, chunk, first);
+    /// The product of the horizontal concatenation `[g | parts…]` with
+    /// `w`, without materialising the concatenation, then `epi` on each
+    /// output row.
+    ///
+    /// `g`'s share is passed in as `prefix = g · w[..p]`, the product of
+    /// the first `p = w.rows() − Σ part widths` weight rows, computed
+    /// once (it may hold one block of rows that every `prefix.rows()`-row
+    /// block of the output repeats). Each output row's accumulator starts
+    /// from its prefix row and continues over the parts' terms, in the
+    /// order the full product would add them, so the result is
+    /// bit-identical to `concat(g, parts…).matmul(w)` followed by the
+    /// epilogue's separate passes. With `prefix = None` the parts must
+    /// cover every weight row, and one part is a plain matmul.
+    ///
+    /// # Panics
+    /// Panics if `parts` is empty or its heights differ, on a weight
+    /// height mismatch, or if the prefix does not tile the output.
+    pub fn matmul_fused(
+        prefix: Option<&Dense>,
+        parts: &[&Dense],
+        w: &Dense,
+        epi: &Epilogue<'_>,
+    ) -> Dense {
+        Dense::matmul_fused_on(prefix, parts, w, epi, Isa::detect())
+    }
+
+    /// [`Dense::matmul_fused`] compiled for the given instruction set.
+    pub(crate) fn matmul_fused_on(
+        prefix: Option<&Dense>,
+        parts: &[&Dense],
+        w: &Dense,
+        epi: &Epilogue<'_>,
+        isa: Isa,
+    ) -> Dense {
+        assert!(!parts.is_empty(), "matmul needs a left operand");
+        let rows = parts[0].rows;
+        let inner: usize = parts.iter().map(|p| p.cols).sum();
+        let covered = if prefix.is_some() { w.rows.checked_sub(inner) } else { Some(0) };
+        let Some(covered) = covered.filter(|c| c + inner == w.rows) else {
+            panic!("matmul shape mismatch: {rows}x{inner} * {}x{}", w.rows, w.cols)
+        };
+        assert!(parts.iter().all(|p| p.rows == rows), "matmul parts differ in height");
+        let n = w.cols;
+        epi.check_shapes(rows, n);
+        let period = match prefix {
+            Some(p) => {
+                assert!(
+                    p.cols == n && p.rows > 0 && rows.is_multiple_of(p.rows),
+                    "matmul prefix {}x{} does not tile a {rows}x{n} output",
+                    p.rows,
+                    p.cols
+                );
+                p.rows
             }
-        });
+            None => rows.max(1),
+        };
+        // Each part's first weight row.
+        let mut segs = Vec::with_capacity(parts.len());
+        let mut off = covered;
+        for p in parts {
+            segs.push((&p.data[..], p.cols, off));
+            off += p.cols;
+        }
+        let mut out = Dense::zeros(rows, n);
+        let prefix = prefix.map(|p| &p.data[..]);
+        let ctx = FusedRows { n, w, prefix, period, epi, isa };
+        let parallel = rows * inner * n >= PARALLEL_FLOP_THRESHOLD;
+        // One term run per part: a plain product, `[g | q]` or `[g | q | n]`.
+        match segs[..] {
+            [a] => ctx.run(&mut out, parallel, |i| [seg_terms(a, i)]),
+            [a, b] => ctx.run(&mut out, parallel, |i| [seg_terms(a, i), seg_terms(b, i)]),
+            _ => ctx.run(&mut out, parallel, |i| [segs.iter().flat_map(move |&s| seg_terms(s, i))]),
+        }
         out
     }
 
@@ -437,19 +491,6 @@ impl Dense {
         out
     }
 
-    /// Vertically tiles the matrix `k` times (`out` has `k · rows` rows;
-    /// block `i` is a copy of `self`). Used by batched serving to repeat
-    /// cached graph-branch activations once per query in a batch.
-    pub fn tile_rows(&self, k: usize) -> Dense {
-        assert!(k > 0, "tile_rows repeat count must be positive");
-        let mut out = Dense::zeros(self.rows * k, self.cols);
-        let block = self.rows * self.cols;
-        for chunk in out.data.chunks_mut(block.max(1)) {
-            chunk.copy_from_slice(&self.data);
-        }
-        out
-    }
-
     /// Maximum absolute element (0 for empty).
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
@@ -473,6 +514,65 @@ impl Dense {
                 .iter()
                 .zip(&other.data)
                 .all(|(a, b)| (a - b).abs() <= tol)
+    }
+}
+
+/// One part of a fused product's left operand: its row-major data, its
+/// width, and the weight row its first column multiplies.
+type Seg<'a> = (&'a [f32], usize, usize);
+
+/// Row `i`'s terms of one part.
+#[inline(always)]
+fn seg_terms(
+    (data, cols, off): Seg<'_>,
+    i: usize,
+) -> impl Iterator<Item = (usize, f32)> + Clone + '_ {
+    data[i * cols..][..cols].iter().enumerate().map(move |(k, &v)| (off + k, v))
+}
+
+/// The shared state of one [`Dense::matmul_fused`] call.
+struct FusedRows<'a> {
+    n: usize,
+    w: &'a Dense,
+    prefix: Option<&'a [f32]>,
+    period: usize,
+    epi: &'a Epilogue<'a>,
+    isa: Isa,
+}
+
+impl FusedRows<'_> {
+    /// Fills `out` from `terms(i)` per output row, threaded when
+    /// `parallel`.
+    fn run<F, I, const P: usize>(&self, out: &mut Dense, parallel: bool, terms: F)
+    where
+        F: Fn(usize) -> [I; P] + Sync,
+        I: Iterator<Item = (usize, f32)> + Clone,
+    {
+        let (n, rows, finite) = (self.n, out.rows, self.w.is_finite());
+        kernel::for_unit_chunks(out.as_mut_slice(), n, rows, parallel, |first, chunk| {
+            // Walk the chunk one prefix period at a time, so each row
+            // finds its prefix row without a division.
+            let (mut row, mut rest) = (first, chunk);
+            while !rest.is_empty() {
+                let r = row % self.period;
+                let len = ((self.period - r) * n).min(rest.len());
+                let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                let prefix = self.prefix.map(|p| &p[r * n..]);
+                let (isa, w, base, epi) = (self.isa, &self.w.data, row, self.epi);
+                if finite {
+                    kernel::weighted_rows(isa, part, n, w, prefix, |i| terms(base + i), epi, base);
+                } else {
+                    // 0 · inf is NaN: skip zero terms, as the AXPY loop does.
+                    let nonzero = |i| {
+                        // qdgnn-analyze: allow(QD002, reason = "exact-zero sparsity skip: multiplying by bit-exact 0.0 contributes nothing unless w is non-finite, which is the only case this path serves")
+                        terms(base + i).map(|run| run.filter(|&(_, v)| v != 0.0))
+                    };
+                    kernel::weighted_rows(isa, part, n, w, prefix, nonzero, epi, base);
+                }
+                row += len / n;
+                rest = tail;
+            }
+        });
     }
 }
 
@@ -502,8 +602,9 @@ impl fmt::Debug for Dense {
 }
 
 /// The zero-skipping `i-k-j` AXPY: fills `out` (whole rows) with rows
-/// `row_start..` of `a * b`. The fallback for a non-finite `b`, and the
-/// oracle the register-tile kernel is tested against.
+/// `row_start..` of `a * b`. The oracle the register-tile kernel is
+/// tested against.
+#[cfg(test)]
 pub(crate) fn matmul_rows_skipping(a: &Dense, b: &Dense, out: &mut [f32], row_start: usize) {
     let n = b.cols;
     if n == 0 {
@@ -511,7 +612,6 @@ pub(crate) fn matmul_rows_skipping(a: &Dense, b: &Dense, out: &mut [f32], row_st
     }
     for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
         for (k, &av) in a.row(row_start + i).iter().enumerate() {
-            // qdgnn-analyze: allow(QD002, reason = "exact-zero sparsity skip: multiplying by bit-exact 0.0 contributes nothing unless b is non-finite, which is the only case this loop serves")
             if av == 0.0 {
                 continue;
             }
@@ -525,21 +625,6 @@ pub(crate) fn matmul_rows_skipping(a: &Dense, b: &Dense, out: &mut [f32], row_st
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tile_rows_repeats_blocks() {
-        let a = Dense::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let t = a.tile_rows(3);
-        assert_eq!(t.shape(), (6, 2));
-        for b in 0..3 {
-            for r in 0..2 {
-                for c in 0..2 {
-                    assert_eq!(t.get(b * 2 + r, c), a.get(r, c));
-                }
-            }
-        }
-        assert!(a.tile_rows(1).approx_eq(&a, 0.0));
-    }
 
     #[test]
     fn matmul_matches_manual() {

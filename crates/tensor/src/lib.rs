@@ -43,6 +43,7 @@ macro_rules! sanitize_assert {
 
 pub use alloc_tuning::tune_for_batch_serving;
 pub use dense::Dense;
+pub use kernel::{BnAffine, Epilogue};
 pub use optim::{Adam, AdamConfig, AdamState, Sgd};
 pub use param::{GradStore, ParamId, ParamStore};
 pub use sparse::Csr;

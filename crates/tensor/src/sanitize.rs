@@ -72,6 +72,19 @@ fn check_finite_slow(op: &str, value: &Dense) {
     }
 }
 
+/// Panics if row `r` of a fused product holds NaN/Inf before its
+/// epilogue's ReLU (which would map it to 0), naming `op`. No-op while
+/// checks are off.
+#[inline]
+pub fn check_finite_row(op: &str, r: usize, row: &[f32]) {
+    if !enabled() {
+        return;
+    }
+    if let Some((c, v)) = row.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+        panic!("sanitize: op `{op}` produced non-finite value {v} at [{r},{c}] before its ReLU");
+    }
+}
+
 /// Serializes tests that flip the global [`ENABLED`] toggle or rely on
 /// it being on, so the parallel test runner can't interleave them.
 #[cfg(all(test, feature = "sanitize"))]

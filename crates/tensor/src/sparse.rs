@@ -9,7 +9,7 @@
 //! backward rule for its dense operand (`dB = Aᵀ · dY`).
 
 use crate::dense::Dense;
-use crate::kernel::{self, Isa, PARALLEL_FLOP_THRESHOLD};
+use crate::kernel::{self, Epilogue, Isa, PARALLEL_FLOP_THRESHOLD};
 
 /// A compressed sparse row matrix of `f32`.
 ///
@@ -250,11 +250,29 @@ impl Csr {
     /// # Panics
     /// Panics if `blocks` is zero or `d.rows() != blocks · self.cols()`.
     pub fn spmm_blocked(&self, d: &Dense, blocks: usize) -> Dense {
-        self.spmm_blocked_on(d, blocks, Isa::detect())
+        self.spmm_fused(d, blocks, &Epilogue::default())
     }
 
-    /// [`Csr::spmm_blocked`] compiled for the given instruction set.
-    pub(crate) fn spmm_blocked_on(&self, d: &Dense, blocks: usize, isa: Isa) -> Dense {
+    /// [`Csr::spmm_blocked`] followed by `epi` on each output row, while
+    /// the row is still in cache: bit-identical to the blocked product
+    /// followed by the epilogue's separate elementwise passes. The
+    /// epilogue's row index (e.g. into its residual) is the output row.
+    ///
+    /// # Panics
+    /// As [`Csr::spmm_blocked`], or if an epilogue operand does not fit
+    /// the output.
+    pub fn spmm_fused(&self, d: &Dense, blocks: usize, epi: &Epilogue<'_>) -> Dense {
+        self.spmm_fused_on(d, blocks, epi, Isa::detect())
+    }
+
+    /// [`Csr::spmm_fused`] compiled for the given instruction set.
+    pub(crate) fn spmm_fused_on(
+        &self,
+        d: &Dense,
+        blocks: usize,
+        epi: &Epilogue<'_>,
+        isa: Isa,
+    ) -> Dense {
         assert!(blocks > 0, "spmm: blocks must be positive");
         assert_eq!(
             self.cols * blocks,
@@ -268,6 +286,7 @@ impl Csr {
         );
         let n = d.cols();
         let rows = self.rows * blocks;
+        epi.check_shapes(rows, n);
         let mut out = Dense::zeros(rows, n);
         let parallel = self.nnz() * n * blocks >= PARALLEL_FLOP_THRESHOLD;
         kernel::for_unit_chunks(out.as_mut_slice(), n, rows, parallel, |first, chunk| {
@@ -279,9 +298,8 @@ impl Csr {
                 let len = ((self.rows - r) * n).min(rest.len());
                 let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
                 let d_row_off = block * self.cols;
-                kernel::weighted_rows(isa, part, n, d.as_slice(), |i| {
-                    self.row_iter(r + i).map(move |(c, v)| (d_row_off + c, v))
-                });
+                let terms = |i| [self.row_iter(r + i).map(move |(c, v)| (d_row_off + c, v))];
+                kernel::weighted_rows(isa, part, n, d.as_slice(), None, terms, epi, row);
                 row += len / n;
                 rest = tail;
             }

@@ -37,11 +37,9 @@ enum Op {
     Leaf,
     /// Dense product `a · b`.
     Matmul { a: usize, b: usize },
-    /// Block-diagonal sparse–dense product: constant `m` applied to each
-    /// of `blocks` vertically-stacked row blocks of `b` (`blocks = 1` is
-    /// the plain `m · b`); `mt` is the precomputed transpose used by the
-    /// backward pass.
-    Spmm { mt: Arc<Csr>, b: usize, blocks: usize },
+    /// Sparse–dense product `m · b` with constant `m`; `mt` is the
+    /// precomputed transpose used by the backward pass.
+    Spmm { mt: Arc<Csr>, b: usize },
     /// Elementwise `a + b`.
     Add { a: usize, b: usize },
     /// Elementwise `a − b`.
@@ -241,14 +239,6 @@ impl Tape {
     /// `mt` must be the transpose of `m` (precompute once per graph with
     /// [`Csr::transpose`] and reuse across queries/epochs).
     pub fn spmm(&mut self, m: &Arc<Csr>, mt: &Arc<Csr>, b: Var) -> Var {
-        self.spmm_blocked(m, mt, b, 1)
-    }
-
-    /// Block-diagonal sparse–dense product: `m` applied independently to
-    /// each of `blocks` vertically-stacked row blocks of `b`. Equivalent
-    /// to (and bit-identical with) `blocks` separate [`Tape::spmm`] calls
-    /// on the stacked blocks; one tape node instead of `blocks`.
-    pub fn spmm_blocked(&mut self, m: &Arc<Csr>, mt: &Arc<Csr>, b: Var, blocks: usize) -> Var {
         let _t = qdgnn_obs::op_timer("tensor.spmm");
         crate::sanitize_assert!(
             m.rows() == mt.cols() && m.cols() == mt.rows(),
@@ -258,8 +248,8 @@ impl Tape {
             m.rows(),
             m.cols()
         );
-        let v = m.spmm_blocked(self.val(b), blocks);
-        self.push(v, Op::Spmm { mt: Arc::clone(mt), b: b.0, blocks })
+        let v = m.spmm(self.val(b));
+        self.push(v, Op::Spmm { mt: Arc::clone(mt), b: b.0 })
     }
 
     /// Elementwise sum.
@@ -412,10 +402,8 @@ impl Tape {
                     accumulate(&mut grads, *a, da);
                     accumulate(&mut grads, *b, db);
                 }
-                Op::Spmm { mt, b, blocks } => {
-                    // Each block routes through Mᵀ independently, so the
-                    // backward pass is the same blocked product with `mt`.
-                    let db = mt.spmm_blocked(&g, *blocks);
+                Op::Spmm { mt, b } => {
+                    let db = mt.spmm(&g);
                     accumulate(&mut grads, *b, db);
                 }
                 Op::Add { a, b } => {

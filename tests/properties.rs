@@ -268,10 +268,7 @@ fn fd_spmm() {
         &[(0, 0, 1.0), (0, 1, 0.5), (1, 2, 0.7), (2, 0, 0.3), (2, 2, 1.2)],
     ));
     let mt = Arc::new(m.transpose());
-    // One block, then two stacked 3-row blocks through the same matrix.
-    for blocks in [1, 2] {
-        fd_check(&[(3 * blocks, 2)], false, &|t, l| t.spmm_blocked(&m, &mt, l[0], blocks));
-    }
+    fd_check(&[(3, 2)], false, &|t, l| t.spmm(&m, &mt, l[0]));
 }
 
 #[test]

@@ -90,3 +90,24 @@ fn attention_fusion_trains_through_public_api() {
     let m = evaluate(&trained.model, &tensors, &split.test, trained.gamma);
     assert!(m.f1 > 0.4, "attention fusion should learn toy data, F1={:.3}", m.f1);
 }
+
+/// Serving runs without a tape, yet the sanitizer still names the layer
+/// that produced a NaN: here a corrupt batch-norm running variance in the
+/// query branch's first layer, which the ReLU after it would otherwise
+/// turn into zeros.
+#[test]
+#[cfg(feature = "sanitize")]
+#[should_panic(expected = "op `eval aqdgnn.q0` produced non-finite value")]
+fn sanitizer_names_the_eval_layer_behind_a_nan() {
+    let data = qdgnn::data::presets::toy();
+    let config = ModelConfig::fast();
+    let tensors = GraphTensors::new(&data.graph, config.adj_norm, config.fusion_graph_attr_cap);
+    let mut model = AqdGnn::new(config.clone(), tensors.d);
+    // The first BN the model registers is `aqdgnn.q0.bn`.
+    let width = config.hidden;
+    let nan_var = qdgnn::tensor::Dense::full(1, width, f32::NAN);
+    model.bns_mut()[0].set_running(qdgnn::tensor::Dense::zeros(1, width), nan_var);
+    let q = QueryVectors::encode(tensors.n, tensors.d, &[0], &[1]);
+    let batch = QueryBatch::try_stack(&[q]).expect("one query stacks");
+    let _ = predict_scores_batch(&model, &tensors, None, &batch);
+}
