@@ -89,7 +89,7 @@ impl IcsGnn {
             target.set(q as usize, 0, 1.0);
             weight.set(q as usize, 0, 1.0);
         }
-        let dist = traversal::bfs_distances(&tensors.graph, query_vertices);
+        let dist = traversal::bfs_distances(tensors.graph.graph(), query_vertices);
         let mut by_distance: Vec<VertexId> = (0..n as VertexId)
             .filter(|&v| !query_vertices.contains(&v))
             .collect();

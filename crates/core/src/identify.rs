@@ -12,7 +12,8 @@ use crate::inputs::GraphTensors;
 /// Non-attributed queries expand over the **structure graph**; attributed
 /// queries (`attributed = true`) expand over the **fusion graph**, whose
 /// extra same-attribute edges let the answer include vertices connected
-/// to the query through attribute similarity (§6.6).
+/// to the query through attribute similarity (§6.6). Both run the same
+/// traversal: the structure graph is the fusion graph with cap 0.
 pub fn identify_community(
     tensors: &GraphTensors,
     query_vertices: &[VertexId],
@@ -20,15 +21,21 @@ pub fn identify_community(
     gamma: f32,
     attributed: bool,
 ) -> Vec<VertexId> {
-    let graph = if attributed { &tensors.fusion } else { &tensors.graph };
+    let cap = if attributed { tensors.fusion_attr_cap } else { 0 };
+    let found =
+        traversal::constrained_bfs(&tensors.graph.fusion(cap), query_vertices, scores, gamma);
     // Candidate count = vertices clearing γ, i.e. the BFS's admissible
-    // set. Observed here so it also covers validation γ-sweeps; per-query
+    // set; attribute lists = fusion-graph member lists the BFS scanned.
+    // Observed here so they also cover validation γ-sweeps; per-query
     // serving latency is captured by the `serve.bfs` span at call sites.
     if qdgnn_obs::enabled() {
         let candidates = scores.iter().filter(|&&s| s >= gamma).count();
         qdgnn_obs::observe("identify.candidates", candidates as f64);
+        if attributed {
+            qdgnn_obs::observe("identify.attr_lists", found.lists_scanned as f64);
+        }
     }
-    traversal::constrained_bfs(graph, query_vertices, scores, gamma)
+    found.members
 }
 
 /// Validating variant of [`identify_community`] for untrusted input:
@@ -80,7 +87,21 @@ mod tests {
         let scores = vec![1.0f32; t.n];
         let on_structure = identify_community(&t, &[0], &scores, 0.5, false);
         let on_fusion = identify_community(&t, &[0], &scores, 0.5, true);
+        assert!(on_structure.iter().all(|v| on_fusion.binary_search(v).is_ok()));
         assert!(on_fusion.len() >= on_structure.len());
+        // A vertex isolated in the structure graph is reached only
+        // through the attribute it shares with the query vertex.
+        let a = data.graph.attrs_of(0)[0];
+        let v = *data.graph.vertices_with_attr(a).iter().find(|&&v| v != 0).unwrap();
+        let mut isolated = scores.clone();
+        for u in 0..t.n as VertexId {
+            if u != 0 && u != v {
+                isolated[u as usize] = 0.0;
+            }
+        }
+        assert_eq!(identify_community(&t, &[0], &isolated, 0.5, true), vec![0, v]);
+        let structure_only = if t.graph.graph().has_edge(0, v) { vec![0, v] } else { vec![0] };
+        assert_eq!(identify_community(&t, &[0], &isolated, 0.5, false), structure_only);
     }
 
     #[test]

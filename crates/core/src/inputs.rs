@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use qdgnn_graph::attributed::{adjacency_matrix, AdjNorm, AttrId};
-use qdgnn_graph::{AttributedGraph, Graph, VertexId};
+use qdgnn_graph::{AttributedGraph, VertexId};
 use qdgnn_tensor::{Csr, Dense};
 
 use crate::error::QdgnnError;
@@ -33,11 +33,12 @@ pub struct GraphTensors {
     pub bip: Arc<Csr>,
     /// Transpose `Bᵀ` (d×n).
     pub bip_t: Arc<Csr>,
-    /// The structure graph (community identification for CS).
-    pub graph: Arc<Graph>,
-    /// The fusion graph (community identification for ACS), built with
-    /// the configured attribute-frequency cap.
-    pub fusion: Arc<Graph>,
+    /// The attributed graph: structure, attribute and member lists.
+    /// Community identification walks its structure graph for CS and
+    /// its fusion graph ([`AttributedGraph::fusion`]) for ACS.
+    pub graph: Arc<AttributedGraph>,
+    /// Attribute-frequency cap of the fusion graph.
+    pub fusion_attr_cap: usize,
 }
 
 impl GraphTensors {
@@ -49,7 +50,6 @@ impl GraphTensors {
         let feat_t = feat.transpose();
         let bip = graph.bipartite_incidence();
         let bip_t = bip.transpose();
-        let fusion = graph.fusion_graph(fusion_attr_cap);
         GraphTensors {
             n: graph.num_vertices(),
             d: graph.num_attrs(),
@@ -59,8 +59,8 @@ impl GraphTensors {
             feat_t: Arc::new(feat_t),
             bip: Arc::new(bip),
             bip_t: Arc::new(bip_t),
-            graph: Arc::new(graph.graph().clone()),
-            fusion: Arc::new(fusion),
+            graph: Arc::new(graph.clone()),
+            fusion_attr_cap,
         }
     }
 }
@@ -227,6 +227,7 @@ impl From<&QueryVectors> for QueryBatch {
 mod tests {
     use super::*;
     use qdgnn_data::presets;
+    use qdgnn_graph::traversal::bfs_distances;
 
     #[test]
     fn tensors_have_consistent_shapes() {
@@ -238,7 +239,14 @@ mod tests {
         assert_eq!(t.feat.cols(), t.d);
         assert_eq!(t.bip_t.rows(), t.d);
         assert_eq!(t.bip_t.cols(), t.n);
-        assert!(t.fusion.num_edges() >= t.graph.num_edges());
+        assert_eq!(t.graph.num_vertices(), t.n);
+        assert_eq!(t.fusion_attr_cap, 100);
+        // The fusion graph is a supergraph of the structure graph: no
+        // vertex is farther from vertex 0 in it, and some is nearer.
+        let on_structure = bfs_distances(t.graph.graph(), &[0]);
+        let on_fusion = bfs_distances(&t.graph.fusion(t.fusion_attr_cap), &[0]);
+        assert!(on_fusion.iter().zip(&on_structure).all(|(f, s)| f <= s));
+        assert_ne!(on_fusion, on_structure);
     }
 
     #[test]

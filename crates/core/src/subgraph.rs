@@ -11,7 +11,7 @@
 
 use qdgnn_data::Query;
 use qdgnn_graph::graph::Subgraph;
-use qdgnn_graph::{traversal, AttributedGraph, CommunityMetrics, Graph, VertexId};
+use qdgnn_graph::{traversal, AttributedGraph, CommunityMetrics, VertexId};
 
 use crate::config::ModelConfig;
 use crate::identify::identify_community;
@@ -47,26 +47,25 @@ pub struct Candidate {
     pub local_query: Query,
 }
 
-/// Extracts the candidate subgraph for `query` using `fusion` for
-/// neighbourhood selection (build it once per graph with
-/// [`AttributedGraph::fusion_graph`]).
+/// Extracts the candidate subgraph for `query`: its 1- or 2-hop
+/// neighbourhood in `graph`'s fusion graph, under the model's
+/// attribute-frequency cap.
 pub fn extract_candidate(
     graph: &AttributedGraph,
-    fusion: &Graph,
     query: &Query,
     model_config: &ModelConfig,
     cfg: &SubgraphConfig,
 ) -> Candidate {
-    let one_hop = traversal::k_hop_neighborhood(fusion, &query.vertices, 1);
-    let mut vertices = if one_hop.len() < cfg.two_hop_below {
-        traversal::k_hop_neighborhood(fusion, &query.vertices, 2)
-    } else {
-        one_hop
+    let fusion = graph.fusion(model_config.fusion_graph_attr_cap);
+    let dist = traversal::bfs_distances(&fusion, &query.vertices);
+    let within = |hops: usize| -> Vec<VertexId> {
+        (0..dist.len() as VertexId).filter(|&v| dist[v as usize] <= hops).collect()
     };
+    let one_hop = within(1);
+    let mut vertices = if one_hop.len() < cfg.two_hop_below { within(2) } else { one_hop };
     if vertices.len() > cfg.max_vertices {
         // Keep the closest vertices (BFS distance, then id) so the query
         // neighbourhood survives the cap.
-        let dist = traversal::bfs_distances(fusion, &query.vertices);
         vertices.sort_by_key(|&v| (dist[v as usize], v));
         vertices.truncate(cfg.max_vertices);
     }
@@ -113,21 +112,19 @@ impl SubgraphTrainer {
         &self,
         model: M,
         graph: &AttributedGraph,
-        fusion: &Graph,
         train: &[Query],
         val: &[Query],
     ) -> TrainedModel<M> {
         let items: Vec<TrainItem> = train
             .iter()
             .map(|q| {
-                let cand =
-                    extract_candidate(graph, fusion, q, model.config(), &self.subgraph_config);
+                let cand = extract_candidate(graph, q, model.config(), &self.subgraph_config);
                 TrainItem::prepare(&model, &cand.tensors, &cand.local_query)
             })
             .collect();
         let val_candidates: Vec<Candidate> = val
             .iter()
-            .map(|q| extract_candidate(graph, fusion, q, model.config(), &self.subgraph_config))
+            .map(|q| extract_candidate(graph, q, model.config(), &self.subgraph_config))
             .collect();
         let grid = self.train_config.gamma_grid.clone();
         run_training(model, &items, &self.train_config, |m| {
@@ -145,14 +142,13 @@ impl SubgraphTrainer {
 pub fn predict_community_subgraph(
     model: &dyn CsModel,
     graph: &AttributedGraph,
-    fusion: &Graph,
     query: &Query,
     gamma: f32,
     cfg: &SubgraphConfig,
 ) -> Vec<VertexId> {
     let cand = {
         let _s = qdgnn_obs::span!("serve.extract");
-        extract_candidate(graph, fusion, query, model.config(), cfg)
+        extract_candidate(graph, query, model.config(), cfg)
     };
     qdgnn_obs::observe("serve.candidate_vertices", cand.tensors.n as f64);
     predict_on_candidate(model, &cand, gamma)
@@ -187,14 +183,13 @@ pub fn predict_on_candidate(model: &dyn CsModel, cand: &Candidate, gamma: f32) -
 pub fn evaluate_subgraph(
     model: &dyn CsModel,
     graph: &AttributedGraph,
-    fusion: &Graph,
     queries: &[Query],
     gamma: f32,
     cfg: &SubgraphConfig,
 ) -> CommunityMetrics {
     let predicted: Vec<Vec<VertexId>> = queries
         .iter()
-        .map(|q| predict_community_subgraph(model, graph, fusion, q, gamma, cfg))
+        .map(|q| predict_community_subgraph(model, graph, q, gamma, cfg))
         .collect();
     let truth: Vec<Vec<VertexId>> = queries.iter().map(|q| q.truth.clone()).collect();
     CommunityMetrics::micro(&predicted, &truth)
@@ -252,11 +247,10 @@ mod tests {
     fn candidate_contains_query_and_respects_cap() {
         let data = presets::toy();
         let mc = ModelConfig::fast();
-        let fusion = data.graph.fusion_graph(mc.fusion_graph_attr_cap);
         let queries = qgen::generate(&data, 5, 1, 2, AttrMode::FromNode, 1);
         let cfg = SubgraphConfig { two_hop_below: 4, max_vertices: 12 };
         for q in &queries {
-            let cand = extract_candidate(&data.graph, &fusion, q, &mc, &cfg);
+            let cand = extract_candidate(&data.graph, q, &mc, &cfg);
             assert!(cand.tensors.n <= 12);
             assert_eq!(cand.local_query.vertices.len(), q.vertices.len());
             // Query vertices must survive the cap (distance 0).
@@ -270,18 +264,15 @@ mod tests {
     fn two_hop_expansion_when_small() {
         let data = presets::toy();
         let mc = ModelConfig::fast();
-        let fusion = data.graph.fusion_graph(mc.fusion_graph_attr_cap);
         let q = qgen::generate(&data, 1, 1, 1, AttrMode::Empty, 2).remove(0);
         let small = extract_candidate(
             &data.graph,
-            &fusion,
             &q,
             &mc,
             &SubgraphConfig { two_hop_below: 0, max_vertices: 4096 },
         );
         let big = extract_candidate(
             &data.graph,
-            &fusion,
             &q,
             &mc,
             &SubgraphConfig { two_hop_below: 4096, max_vertices: 4096 },
@@ -293,7 +284,6 @@ mod tests {
     fn subgraph_training_learns_toy_communities() {
         let data = presets::toy();
         let mc = ModelConfig::fast();
-        let fusion = data.graph.fusion_graph(mc.fusion_graph_attr_cap);
         let all = qgen::generate(&data, 40, 1, 2, AttrMode::FromCommunity, 3);
         let split = qdgnn_data::QuerySplit::new(all, 20, 10, 10);
         let model = AqdGnn::new(mc.clone(), data.graph.num_attrs());
@@ -301,11 +291,10 @@ mod tests {
             TrainConfig { epochs: 25, ..TrainConfig::fast() },
             SubgraphConfig::default(),
         );
-        let trained = trainer.train(model, &data.graph, &fusion, &split.train, &split.val);
+        let trained = trainer.train(model, &data.graph, &split.train, &split.val);
         let metrics = evaluate_subgraph(
             &trained.model,
             &data.graph,
-            &fusion,
             &split.test,
             trained.gamma,
             &SubgraphConfig::default(),

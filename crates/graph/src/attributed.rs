@@ -3,7 +3,8 @@
 
 use qdgnn_tensor::Csr;
 
-use crate::graph::{Graph, GraphBuilder, VertexId};
+use crate::graph::{Graph, VertexId};
+use crate::traversal::Expand;
 
 /// Attribute identifier within a graph's vocabulary `F̂`.
 pub type AttrId = u32;
@@ -72,10 +73,31 @@ pub fn adjacency_matrix(graph: &Graph, norm: AdjNorm) -> Csr {
 pub struct AttributedGraph {
     graph: Graph,
     /// Sorted, deduplicated attribute ids per vertex.
-    attrs: Vec<Vec<AttrId>>,
+    attrs: Lists<AttrId>,
     num_attrs: usize,
     /// Inverted index: attribute → sorted vertices having it.
-    inverted: Vec<Vec<VertexId>>,
+    members: Lists<VertexId>,
+}
+
+/// Sorted id lists stored back to back, so that a traversal reading
+/// many short lists touches contiguous memory: list `i` is
+/// `items[offsets[i]..offsets[i + 1]]`.
+#[derive(Clone, Debug)]
+struct Lists<T> {
+    offsets: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Lists<T> {
+    #[inline]
+    fn get(&self, i: usize) -> &[T] {
+        &self.items[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    #[inline]
+    fn len_of(&self, i: usize) -> usize {
+        self.offsets[i + 1] - self.offsets[i]
+    }
 }
 
 impl AttributedGraph {
@@ -85,18 +107,40 @@ impl AttributedGraph {
     /// # Panics
     /// Panics if `attrs.len() != graph.num_vertices()` or an attribute id
     /// is `≥ num_attrs`.
-    pub fn new(graph: Graph, mut attrs: Vec<Vec<AttrId>>, num_attrs: usize) -> Self {
+    pub fn new(graph: Graph, attrs: Vec<Vec<AttrId>>, num_attrs: usize) -> Self {
         assert_eq!(attrs.len(), graph.num_vertices(), "one attribute set per vertex required");
-        let mut inverted = vec![Vec::new(); num_attrs];
-        for (v, set) in attrs.iter_mut().enumerate() {
+        let mut offsets = Vec::with_capacity(attrs.len() + 1);
+        offsets.push(0);
+        let mut items = Vec::new();
+        let mut holders = vec![0usize; num_attrs];
+        for mut set in attrs {
             set.sort_unstable();
             set.dedup();
-            for &a in set.iter() {
+            for &a in &set {
                 assert!((a as usize) < num_attrs, "attribute id {a} out of vocabulary");
-                inverted[a as usize].push(v as VertexId);
+                holders[a as usize] += 1;
+            }
+            items.extend_from_slice(&set);
+            offsets.push(items.len());
+        }
+        let attrs = Lists { offsets, items };
+        // Counting sort by attribute; visiting vertices in id order keeps
+        // each member list sorted.
+        let mut member_offsets = Vec::with_capacity(num_attrs + 1);
+        member_offsets.push(0);
+        for count in holders {
+            member_offsets.push(member_offsets[member_offsets.len() - 1] + count);
+        }
+        let mut next = member_offsets[..num_attrs].to_vec();
+        let mut member_items = vec![0; attrs.items.len()];
+        for v in 0..graph.num_vertices() {
+            for &a in attrs.get(v) {
+                member_items[next[a as usize]] = v as VertexId;
+                next[a as usize] += 1;
             }
         }
-        AttributedGraph { graph, attrs, num_attrs, inverted }
+        let members = Lists { offsets: member_offsets, items: member_items };
+        AttributedGraph { graph, attrs, num_attrs, members }
     }
 
     /// The underlying structure graph.
@@ -120,23 +164,23 @@ impl AttributedGraph {
     /// Sorted attributes of vertex `v`.
     #[inline]
     pub fn attrs_of(&self, v: VertexId) -> &[AttrId] {
-        &self.attrs[v as usize]
+        self.attrs.get(v as usize)
     }
 
     /// Whether vertex `v` carries attribute `a`.
     pub fn has_attr(&self, v: VertexId, a: AttrId) -> bool {
-        self.attrs[v as usize].binary_search(&a).is_ok()
+        self.attrs_of(v).binary_search(&a).is_ok()
     }
 
     /// Sorted vertices carrying attribute `a`.
     #[inline]
     pub fn vertices_with_attr(&self, a: AttrId) -> &[VertexId] {
-        &self.inverted[a as usize]
+        self.members.get(a as usize)
     }
 
     /// Number of node–attribute bipartite edges `|E_B|`.
     pub fn bipartite_edge_count(&self) -> usize {
-        self.attrs.iter().map(Vec::len).sum()
+        self.attrs.items.len()
     }
 
     /// The vertex attribute matrix `F ∈ ℝ^{n×d}` as CSR, with each row
@@ -151,39 +195,17 @@ impl AttributedGraph {
     /// The raw node–attribute bipartite incidence matrix `B ∈ {0,1}^{n×d}`
     /// (Attribute Encoder propagation A→N uses `B`, N→A uses `Bᵀ`).
     pub fn bipartite_incidence(&self) -> Csr {
-        let triplets: Vec<(usize, usize, f32)> = self
-            .attrs
-            .iter()
-            .enumerate()
-            .flat_map(|(v, set)| set.iter().map(move |&a| (v, a as usize, 1.0)))
+        let triplets: Vec<(usize, usize, f32)> = (0..self.num_vertices())
+            .flat_map(|v| self.attrs.get(v).iter().map(move |&a| (v, a as usize, 1.0)))
             .collect();
         Csr::from_triplets(self.num_vertices(), self.num_attrs, &triplets)
     }
 
-    /// The fusion graph `G_F` of §6.6: the structure graph plus an edge
-    /// between every pair of vertices sharing an attribute.
-    ///
-    /// Attributes held by more than `max_attr_frequency` vertices are
-    /// skipped: such near-universal keywords would add `Θ(freq²)` edges
-    /// while carrying almost no community signal. The paper does not spell
-    /// out a mitigation; the cap is configurable and documented here as a
-    /// deviation (set it to `usize::MAX` for the literal construction).
-    pub fn fusion_graph(&self, max_attr_frequency: usize) -> Graph {
-        let mut builder = GraphBuilder::new(self.num_vertices());
-        for (u, v) in self.graph.edges() {
-            builder.add_edge(u, v);
-        }
-        for members in &self.inverted {
-            if members.len() < 2 || members.len() > max_attr_frequency {
-                continue;
-            }
-            for (i, &u) in members.iter().enumerate() {
-                for &v in &members[i + 1..] {
-                    builder.add_edge(u, v);
-                }
-            }
-        }
-        builder.build()
+    /// The fusion graph `G_F` of §6.6 under attribute-frequency cap
+    /// `attr_cap`, as a view that traversals walk without building it.
+    #[inline]
+    pub fn fusion(&self, attr_cap: usize) -> FusionGraph<'_> {
+        FusionGraph { graph: self, attr_cap }
     }
 
     /// Number of attributes shared between vertex `v`'s set and `query`.
@@ -215,8 +237,91 @@ impl AttributedGraph {
     pub fn induced_subgraph(&self, vertices: &[VertexId]) -> (AttributedGraph, crate::graph::Subgraph) {
         let sub = self.graph.induced_subgraph(vertices);
         let attrs: Vec<Vec<AttrId>> =
-            sub.globals.iter().map(|&g| self.attrs[g as usize].clone()).collect();
+            sub.globals.iter().map(|&g| self.attrs_of(g).to_vec()).collect();
         (AttributedGraph::new(sub.graph.clone(), attrs, self.num_attrs), sub)
+    }
+}
+
+/// The fusion graph `G_F` of §6.6: the structure graph plus an edge
+/// between every pair of vertices sharing an attribute held by at most
+/// `attr_cap` vertices.
+///
+/// It is never materialized. Expanding a vertex `u` visits its structure
+/// neighbours and the member lists of `u`'s in-cap attributes, and a
+/// traversal scans each list at most once (see [`Expand`]), so a
+/// breadth-first search costs `O(|E| + nnz(B))` rather than `O(|E_F|)`.
+/// BFS membership and distances do not depend on neighbour order, so
+/// every traversal returns what it would on the built graph.
+///
+/// Attributes held by more than `attr_cap` vertices add no edges: such
+/// near-universal keywords would add `Θ(freq²)` edges while carrying
+/// almost no community signal. The paper does not spell out a
+/// mitigation; the cap is configurable and documented as a deviation
+/// (`usize::MAX` gives the literal construction, whose traversal is
+/// still `O(|E| + nnz(B))`). A cap below 2 leaves the structure graph.
+#[derive(Clone, Copy, Debug)]
+pub struct FusionGraph<'a> {
+    graph: &'a AttributedGraph,
+    attr_cap: usize,
+}
+
+impl FusionGraph<'_> {
+    /// Whether attribute `a`'s members are linked pairwise: it is held by
+    /// at least two and at most `attr_cap` vertices.
+    #[inline]
+    fn links(&self, a: AttrId) -> bool {
+        (2..=self.attr_cap).contains(&self.graph.members.len_of(a as usize))
+    }
+
+    /// Number of attributes whose members are linked pairwise.
+    pub fn num_linking_attrs(&self) -> usize {
+        (0..self.graph.num_attrs as AttrId).filter(|&a| self.links(a)).count()
+    }
+
+    /// Number of attributes held by more than `attr_cap` vertices, which
+    /// add no edges.
+    pub fn num_attrs_over_cap(&self) -> usize {
+        (0..self.graph.num_attrs).filter(|&a| self.graph.members.len_of(a) > self.attr_cap).count()
+    }
+}
+
+impl Expand for FusionGraph<'_> {
+    fn num_vertices(&self) -> usize {
+        self.graph.num_vertices()
+    }
+
+    fn num_lists(&self) -> usize {
+        if self.attr_cap < 2 {
+            0
+        } else {
+            self.graph.num_attrs
+        }
+    }
+
+    fn expand(&self, u: VertexId, scanned: &mut [bool], mut visit: impl FnMut(VertexId)) -> usize {
+        for &v in self.graph.graph.neighbors(u) {
+            visit(v);
+        }
+        if self.attr_cap < 2 {
+            return 0;
+        }
+        let mut lists = 0;
+        for &a in self.graph.attrs_of(u) {
+            let seen = &mut scanned[a as usize];
+            if *seen {
+                continue;
+            }
+            // Flag over-cap attributes too, so later vertices skip them
+            // without looking up their frequency again.
+            *seen = true;
+            if self.links(a) {
+                lists += 1;
+                for &v in self.graph.vertices_with_attr(a) {
+                    visit(v);
+                }
+            }
+        }
+        lists
     }
 }
 
@@ -268,24 +373,55 @@ mod tests {
         assert_eq!(f.get(6, 4), 0.5);
     }
 
+    /// Sorted neighbours of `u` in `fusion`, from one fresh expansion.
+    fn fusion_neighbors(fusion: FusionGraph<'_>, u: VertexId) -> Vec<VertexId> {
+        let mut scanned = vec![false; fusion.num_lists()];
+        let mut out = Vec::new();
+        fusion.expand(u, &mut scanned, |v| {
+            if v != u {
+                out.push(v)
+            }
+        });
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Edge count of `fusion`, summed over every vertex's expansion.
+    fn fusion_edge_count(fusion: FusionGraph<'_>) -> usize {
+        let n = fusion.num_vertices() as VertexId;
+        (0..n).map(|u| fusion_neighbors(fusion, u).len()).sum::<usize>() / 2
+    }
+
     #[test]
     fn fusion_graph_links_same_attribute_vertices() {
         let ag = faculty();
-        let gf = ag.fusion_graph(usize::MAX);
+        let gf = ag.fusion(usize::MAX);
         // Paper's example: vertices 7 and 8 (here 6 and 7) share "DL".
-        assert!(gf.has_edge(6, 7));
+        assert!(fusion_neighbors(gf, 6).contains(&7));
         // Structure edges survive.
-        assert!(gf.has_edge(0, 1));
-        // Vertices 0 and 1 share IR — fused even though already adjacent.
-        assert!(gf.num_edges() > ag.graph().num_edges());
+        assert!(fusion_neighbors(gf, 0).contains(&1));
+        // Vertices 1 and 3 share DM without a structure edge.
+        assert!(!ag.graph().has_edge(1, 3));
+        assert!(fusion_neighbors(gf, 1).contains(&3));
+        assert!(fusion_edge_count(gf) > ag.graph().num_edges());
+        // Every attribute but CV (held by one vertex) links its members.
+        assert_eq!((gf.num_linking_attrs(), gf.num_attrs_over_cap()), (5, 0));
     }
 
     #[test]
     fn fusion_graph_frequency_cap() {
         let ag = faculty();
         // Cap 1 disables all attribute cliques.
-        let gf = ag.fusion_graph(1);
-        assert_eq!(gf.num_edges(), ag.graph().num_edges());
+        let gf = ag.fusion(1);
+        assert_eq!(fusion_edge_count(gf), ag.graph().num_edges());
+        for u in ag.graph().vertices() {
+            assert_eq!(fusion_neighbors(gf, u), ag.graph().neighbors(u));
+        }
+        assert_eq!((gf.num_linking_attrs(), gf.num_attrs_over_cap()), (0, 5));
+        // Cap 2 drops DM, the one attribute held by three vertices.
+        let gf2 = ag.fusion(2);
+        assert_eq!((gf2.num_linking_attrs(), gf2.num_attrs_over_cap()), (4, 1));
     }
 
     #[test]

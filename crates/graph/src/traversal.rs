@@ -1,41 +1,100 @@
 //! Breadth-first traversal utilities and the paper's constrained-BFS
 //! community identification (Algorithm 1).
+//!
+//! The breadth-first searches run over anything that implements
+//! [`Expand`]: the structure [`Graph`], or the fusion graph of §6.6
+//! walked implicitly ([`FusionGraph`](crate::attributed::FusionGraph)).
 
 use std::collections::VecDeque;
 
 use crate::graph::{Graph, VertexId};
 
-/// BFS distances from a set of sources; unreachable vertices get
-/// `usize::MAX`.
-pub fn bfs_distances(graph: &Graph, sources: &[VertexId]) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; graph.num_vertices()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if dist[s as usize] == usize::MAX {
-            dist[s as usize] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in graph.neighbors(u) {
-            if dist[v as usize] == usize::MAX {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
+/// A graph a breadth-first search can expand.
+///
+/// Besides per-vertex adjacency, a graph may have *shared* neighbour
+/// lists, such as an attribute's member list in the fusion graph: every
+/// member is adjacent to every other, so once a traversal has scanned the
+/// list from one member, scanning it again from another reaches no new
+/// vertex. A traversal keeps one flag per shared list and scans each at
+/// most once.
+pub trait Expand {
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+
+    /// Number of shared neighbour lists (the length of `scanned`).
+    fn num_lists(&self) -> usize;
+
+    /// Calls `visit` on each neighbour of `u`; a vertex may be visited
+    /// more than once, and `u` itself may be. Shared lists flagged in
+    /// `scanned` are skipped, and the ones scanned now are flagged.
+    /// Returns how many shared lists this call scanned.
+    fn expand(&self, u: VertexId, scanned: &mut [bool], visit: impl FnMut(VertexId)) -> usize;
 }
 
-/// Vertices within `hops` BFS hops of any source (sources included).
-pub fn k_hop_neighborhood(graph: &Graph, sources: &[VertexId], hops: usize) -> Vec<VertexId> {
-    let dist = bfs_distances(graph, sources);
-    dist.iter()
-        .enumerate()
-        .filter(|&(_, &d)| d <= hops)
-        .map(|(v, _)| v as VertexId)
-        .collect()
+impl Expand for Graph {
+    fn num_vertices(&self) -> usize {
+        Graph::num_vertices(self)
+    }
+
+    fn num_lists(&self) -> usize {
+        0
+    }
+
+    fn expand(&self, u: VertexId, _scanned: &mut [bool], mut visit: impl FnMut(VertexId)) -> usize {
+        for &v in self.neighbors(u) {
+            visit(v);
+        }
+        0
+    }
+}
+
+/// [`bfs`] state of a vertex no entered vertex has reached yet.
+const UNSEEN: u32 = u32::MAX;
+/// [`bfs`] state of a vertex `admit` refused; it is never tested again.
+const REFUSED: u32 = u32::MAX - 1;
+
+/// Breadth-first search from `sources` that enters a vertex only if
+/// `admit` accepts it (sources always enter). Returns each vertex's hop
+/// distance, or [`UNSEEN`] / [`REFUSED`] for vertices not entered, and
+/// the number of shared lists scanned.
+fn bfs(
+    graph: &impl Expand,
+    sources: &[VertexId],
+    mut admit: impl FnMut(VertexId) -> bool,
+) -> (Vec<u32>, usize) {
+    let mut state = vec![UNSEEN; graph.num_vertices()];
+    let mut scanned = vec![false; graph.num_lists()];
+    let mut queue = Vec::new();
+    for &s in sources {
+        if state[s as usize] == UNSEEN {
+            state[s as usize] = 0;
+            queue.push(s);
+        }
+    }
+    let (mut head, mut lists) = (0, 0);
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let next = state[u as usize] + 1;
+        lists += graph.expand(u, &mut scanned, |v| {
+            let s = &mut state[v as usize];
+            if *s == UNSEEN {
+                if admit(v) {
+                    *s = next;
+                    queue.push(v);
+                } else {
+                    *s = REFUSED;
+                }
+            }
+        });
+    }
+    (state, lists)
+}
+
+/// BFS distances from a set of sources; unreachable vertices get
+/// `usize::MAX`.
+pub fn bfs_distances(graph: &impl Expand, sources: &[VertexId]) -> Vec<usize> {
+    let (state, _) = bfs(graph, sources, |_| true);
+    state.into_iter().map(|d| if d == UNSEEN { usize::MAX } else { d as usize }).collect()
 }
 
 /// Connected components: returns `(component_id_per_vertex, #components)`.
@@ -65,22 +124,8 @@ pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
 
 /// The connected component containing `start`, as a sorted vertex list.
 pub fn component_of(graph: &Graph, start: VertexId) -> Vec<VertexId> {
-    let mut seen = vec![false; graph.num_vertices()];
-    let mut queue = VecDeque::new();
-    let mut out = Vec::new();
-    seen[start as usize] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        out.push(u);
-        for &v in graph.neighbors(u) {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
+    let (state, _) = bfs(graph, &[start], |_| true);
+    (0..graph.num_vertices() as VertexId).filter(|&v| state[v as usize] != UNSEEN).collect()
 }
 
 /// Whether all `vertices` lie in one connected component of their induced
@@ -94,12 +139,23 @@ pub fn is_connected_subset(graph: &Graph, vertices: &[VertexId]) -> bool {
     count <= 1
 }
 
+/// The answer of a [`constrained_bfs`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConstrainedBfs {
+    /// The community, sorted by vertex id.
+    pub members: Vec<VertexId>,
+    /// Shared neighbour lists (fusion-graph attribute member lists) the
+    /// traversal scanned; 0 on the structure graph.
+    pub lists_scanned: usize,
+}
+
 /// Algorithm 1 of the paper: constrained BFS for community identification.
 ///
 /// Starting from the query vertices, expands through neighbors whose model
 /// score reaches the threshold `gamma`, guaranteeing the answer community
 /// is connected to the queries. Query vertices are always included, as in
-/// the paper (line 1 initializes `C_q = V_q`). The result is sorted.
+/// the paper (line 1 initializes `C_q = V_q`), and expanded even when
+/// their own score is below `gamma`.
 ///
 /// `scores` holds the model output `h_q` (post-sigmoid, in `[0,1]`), one
 /// entry per vertex of `graph`.
@@ -107,44 +163,24 @@ pub fn is_connected_subset(graph: &Graph, vertices: &[VertexId]) -> bool {
 /// # Panics
 /// Panics if `scores.len() != graph.num_vertices()`.
 pub fn constrained_bfs(
-    graph: &Graph,
+    graph: &impl Expand,
     query: &[VertexId],
     scores: &[f32],
     gamma: f32,
-) -> Vec<VertexId> {
+) -> ConstrainedBfs {
     assert_eq!(
         scores.len(),
         graph.num_vertices(),
         "scores length must equal vertex count"
     );
-    let mut in_community = vec![false; graph.num_vertices()];
-    let mut visited = vec![false; graph.num_vertices()];
-    let mut queue = VecDeque::new();
-    for &q in query {
-        if !in_community[q as usize] {
-            in_community[q as usize] = true;
-            visited[q as usize] = true;
-            queue.push_back(q);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        for &v in graph.neighbors(u) {
-            if visited[v as usize] {
-                continue;
-            }
-            visited[v as usize] = true;
-            if scores[v as usize] >= gamma {
-                in_community[v as usize] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    in_community
+    let (state, lists_scanned) = bfs(graph, query, |v| scores[v as usize] >= gamma);
+    let members = state
         .iter()
         .enumerate()
-        .filter(|&(_, &m)| m)
+        .filter(|&(_, &d)| d < REFUSED)
         .map(|(v, _)| v as VertexId)
-        .collect()
+        .collect();
+    ConstrainedBfs { members, lists_scanned }
 }
 
 #[cfg(test)]
@@ -169,13 +205,6 @@ mod tests {
         let d = bfs_distances(&g, &[0, 5]);
         assert_eq!(d[3], 1);
         assert_eq!(d[1], 1);
-    }
-
-    #[test]
-    fn k_hop_neighborhood_grows() {
-        let g = two_triangles();
-        assert_eq!(k_hop_neighborhood(&g, &[0], 1), vec![0, 1, 2]);
-        assert_eq!(k_hop_neighborhood(&g, &[0], 2).len(), 4);
     }
 
     #[test]
@@ -208,7 +237,7 @@ mod tests {
         let g = two_triangles();
         // High scores on the far triangle, but vertex 3 blocks the path.
         let scores = [0.9, 0.9, 0.9, 0.1, 0.95, 0.95];
-        let c = constrained_bfs(&g, &[0], &scores, 0.5);
+        let c = constrained_bfs(&g, &[0], &scores, 0.5).members;
         // 3 fails the threshold so 4,5 are unreachable despite high scores.
         assert_eq!(c, vec![0, 1, 2]);
     }
@@ -217,7 +246,7 @@ mod tests {
     fn constrained_bfs_always_keeps_query_vertices() {
         let g = two_triangles();
         let scores = [0.0; 6];
-        let c = constrained_bfs(&g, &[4], &scores, 0.5);
+        let c = constrained_bfs(&g, &[4], &scores, 0.5).members;
         assert_eq!(c, vec![4]);
     }
 
@@ -225,7 +254,7 @@ mod tests {
     fn constrained_bfs_multiple_queries_disconnected_answer() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         let scores = [1.0, 1.0, 0.0, 0.0];
-        let c = constrained_bfs(&g, &[0, 3], &scores, 0.5);
+        let c = constrained_bfs(&g, &[0, 3], &scores, 0.5).members;
         // Both query vertices kept; expansion only where scores pass, so
         // vertex 2 (score 0) is excluded even though it neighbors query 3.
         assert_eq!(c, vec![0, 1, 3]);

@@ -2,7 +2,11 @@
 //! brute-force reference implementations on small random graphs.
 
 use proptest::prelude::*;
-use qdgnn_graph::{conn, core_decomp, traversal, truss, Graph, VertexId};
+use qdgnn_data::presets;
+use qdgnn_graph::attributed::AttrId;
+use qdgnn_graph::{
+    conn, core_decomp, traversal, truss, AttributedGraph, Graph, GraphBuilder, VertexId,
+};
 
 /// Strategy: a random simple graph with up to `n` vertices.
 fn graph_strategy(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -78,6 +82,102 @@ fn naive_min_cut(graph: &Graph) -> usize {
         best = best.min(cut);
     }
     best
+}
+
+/// Reference fusion graph `G_F` of §6.6, built edge by edge: the
+/// structure graph plus an edge between every pair of vertices sharing an
+/// attribute held by at most `cap` vertices.
+fn fusion_graph(ag: &AttributedGraph, cap: usize) -> Graph {
+    let mut builder = GraphBuilder::new(ag.num_vertices());
+    for (u, v) in ag.graph().edges() {
+        builder.add_edge(u, v);
+    }
+    for a in 0..ag.num_attrs() as AttrId {
+        let members = ag.vertices_with_attr(a);
+        if members.len() > cap {
+            continue;
+        }
+        for (i, &u) in members.iter().enumerate() {
+            for &v in &members[i + 1..] {
+                builder.add_edge(u, v);
+            }
+        }
+    }
+    builder.build()
+}
+
+/// Reference Algorithm 1: grows the query set to a fixpoint through edges
+/// into vertices scoring at least `gamma`.
+fn naive_constrained_bfs(
+    graph: &Graph,
+    query: &[VertexId],
+    scores: &[f32],
+    gamma: f32,
+) -> Vec<VertexId> {
+    let mut inside = vec![false; graph.num_vertices()];
+    for &q in query {
+        inside[q as usize] = true;
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (u, v) in graph.edges() {
+            for (from, to) in [(u, v), (v, u)] {
+                if inside[from as usize] && !inside[to as usize] && scores[to as usize] >= gamma {
+                    inside[to as usize] = true;
+                    changed = true;
+                }
+            }
+        }
+    }
+    (0..graph.num_vertices() as VertexId).filter(|&v| inside[v as usize]).collect()
+}
+
+/// Reference hop distances by edge relaxation to a fixpoint.
+fn naive_distances(graph: &Graph, sources: &[VertexId]) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; graph.num_vertices()];
+    for &s in sources {
+        dist[s as usize] = 0;
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (u, v) in graph.edges() {
+            for (from, to) in [(u, v), (v, u)] {
+                let via = dist[from as usize].saturating_add(1);
+                if via < dist[to as usize] {
+                    dist[to as usize] = via;
+                    changed = true;
+                }
+            }
+        }
+    }
+    dist
+}
+
+/// Fusion caps under test: none, below the smallest linking frequency,
+/// small, and uncapped.
+const CAPS: [usize; 5] = [0, 1, 2, 3, usize::MAX];
+
+/// Strategy: a sparse random graph of up to `max_n` vertices whose
+/// vertices hold up to three of at most six attributes, so attribute
+/// frequencies straddle the small caps; with per-vertex scores and a
+/// query of one to four vertices.
+fn attributed_case(
+    max_n: usize,
+) -> impl Strategy<Value = (AttributedGraph, Vec<f32>, Vec<VertexId>)> {
+    (3usize..=max_n, 1usize..=6).prop_flat_map(|(n, d)| {
+        (
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..=2 * n),
+            proptest::collection::vec(proptest::collection::vec(0..d as AttrId, 0..=3), n),
+            proptest::collection::vec(0.0f32..1.0, n),
+            proptest::collection::vec(0..n as VertexId, 1..=4),
+        )
+            .prop_map(move |(edges, attrs, scores, query)| {
+                let ag = AttributedGraph::new(Graph::from_edges(n, &edges), attrs, d);
+                (ag, scores, query)
+            })
+    })
 }
 
 proptest! {
@@ -173,6 +273,98 @@ proptest! {
                         g.has_edge(gu, gv)
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn implicit_constrained_bfs_matches_materialized(
+        (ag, mut scores, query) in attributed_case(16),
+        cap in 0..CAPS.len(),
+        gamma in 0.05f32..0.95,
+        below_gamma in proptest::bool::ANY,
+    ) {
+        let cap = CAPS[cap];
+        if below_gamma {
+            // A query vertex under γ still belongs and is still expanded.
+            scores[query[0] as usize] = gamma * 0.5;
+        }
+        let fusion = ag.fusion(cap);
+        let implicit = traversal::constrained_bfs(&fusion, &query, &scores, gamma);
+        let reference = fusion_graph(&ag, cap);
+        prop_assert_eq!(&implicit.members, &naive_constrained_bfs(&reference, &query, &scores, gamma));
+        prop_assert_eq!(
+            &implicit.members,
+            &traversal::constrained_bfs(&reference, &query, &scores, gamma).members
+        );
+        // Each linking attribute's list is scanned at most once.
+        prop_assert!(implicit.lists_scanned <= fusion.num_linking_attrs());
+        if cap < 2 {
+            // No attribute links anything: the structure-graph search.
+            prop_assert_eq!(
+                &implicit,
+                &traversal::constrained_bfs(ag.graph(), &query, &scores, gamma)
+            );
+        }
+    }
+
+    #[test]
+    fn implicit_bfs_distances_match_materialized(
+        (ag, _scores, sources) in attributed_case(16),
+        cap in 0..CAPS.len(),
+    ) {
+        let cap = CAPS[cap];
+        // Equal distances give equal k-hop sets, which is what candidate
+        // extraction (§7.4) takes from them.
+        prop_assert_eq!(
+            traversal::bfs_distances(&ag.fusion(cap), &sources),
+            naive_distances(&fusion_graph(&ag, cap), &sources)
+        );
+    }
+}
+
+/// Deterministic pseudo-random score in `[0, 1)` for vertex `v`.
+fn hashed_score(v: VertexId, salt: u64) -> f32 {
+    let h = (u64::from(v) ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// On the FB-414 and Cora presets, under the served cap of 100, the
+/// implicit traversal answers every planted community's query exactly as
+/// the built fusion graph does.
+#[test]
+fn implicit_fusion_bfs_matches_materialized_on_presets() {
+    const CAP: usize = 100;
+    for data in [presets::fb_414(), presets::cora()] {
+        let fusion = data.graph.fusion(CAP);
+        let reference = fusion_graph(&data.graph, CAP);
+        let n = data.graph.num_vertices();
+        for (c, members) in data.communities.iter().enumerate() {
+            // Members mostly clear the thresholds, outsiders mostly not.
+            let mut scores: Vec<f32> =
+                (0..n as VertexId).map(|v| 0.75 * hashed_score(v, c as u64)).collect();
+            for &v in members {
+                scores[v as usize] = 0.25 + 0.75 * hashed_score(v, c as u64);
+            }
+            for query in [&members[..1], &members[..members.len().min(3)]] {
+                for gamma in [0.3, 0.5, 0.7] {
+                    assert_eq!(
+                        traversal::constrained_bfs(&fusion, query, &scores, gamma).members,
+                        traversal::constrained_bfs(&reference, query, &scores, gamma).members,
+                        "{} community {c}, query {query:?}, γ {gamma}",
+                        data.name
+                    );
+                }
+                assert_eq!(
+                    traversal::bfs_distances(&fusion, query),
+                    traversal::bfs_distances(&reference, query),
+                    "{} community {c}, query {query:?}: distances",
+                    data.name
+                );
             }
         }
     }

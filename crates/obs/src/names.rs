@@ -14,6 +14,7 @@
 
 /// Every catalogued metric/span/event/trace base name, sorted.
 pub const METRIC_NAMES: &[&str] = &[
+    "identify.attr_lists",
     "identify.candidates",
     "mem.alloc_bytes",
     "mem.freed_bytes",

@@ -33,14 +33,16 @@ fn main() {
     let queries = qdgnn::data::queries::generate(&data, 70, 1, 1, AttrMode::FromCommunity, 3);
     let split = QuerySplit::new(queries, 40, 15, 15);
 
-    // Build the fusion graph once; candidates are its 1–2-hop balls.
-    let t0 = Instant::now();
-    let fusion = data.graph.fusion_graph(config.fusion_graph_attr_cap);
+    // Candidates are 1–2-hop balls of the fusion graph, walked without
+    // building it. Attributes held by more vertices than the cap add no
+    // edges, so when every attribute is over the cap the candidates are
+    // structure-only balls.
+    let fusion = data.graph.fusion(config.fusion_graph_attr_cap);
     println!(
-        "fusion graph: {} edges (structure: {}), built in {:.2}s",
-        fusion.num_edges(),
-        data.graph.graph().num_edges(),
-        t0.elapsed().as_secs_f64()
+        "fusion graph (cap {}): {} attributes link their holders, {} are over the cap",
+        config.fusion_graph_attr_cap,
+        fusion.num_linking_attrs(),
+        fusion.num_attrs_over_cap()
     );
 
     // Train on per-query candidate subgraphs.
@@ -53,7 +55,6 @@ fn main() {
     let trained = trainer.train(
         AqdGnn::new(config, data.graph.num_attrs()),
         &data.graph,
-        &fusion,
         &split.train,
         &split.val,
     );
@@ -68,7 +69,7 @@ fn main() {
     let q = &split.test[0];
     let t0 = Instant::now();
     let community =
-        predict_community_subgraph(&trained.model, &data.graph, &fusion, q, trained.gamma, &sub_cfg);
+        predict_community_subgraph(&trained.model, &data.graph, q, trained.gamma, &sub_cfg);
     println!(
         "query {:?} → {} vertices in {:.2} ms",
         q.vertices,
@@ -79,7 +80,6 @@ fn main() {
     let metrics = evaluate_subgraph(
         &trained.model,
         &data.graph,
-        &fusion,
         &split.test,
         trained.gamma,
         &sub_cfg,

@@ -214,10 +214,13 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     let path = opts.required("data")?;
     let data = io::load_dataset(path).map_err(|e| format!("reading {path}: {e}"))?;
     println!("{}", data.stats_line());
+    let cap = ModelConfig::default().fusion_graph_attr_cap;
+    let fusion = data.graph.fusion(cap);
     println!(
-        "max degree {}, fusion graph edges (cap 100): {}",
+        "max degree {}, fusion graph (cap {cap}): {} attributes link their holders, {} over the cap",
         data.graph.graph().max_degree(),
-        data.graph.fusion_graph(100).num_edges()
+        fusion.num_linking_attrs(),
+        fusion.num_attrs_over_cap()
     );
     Ok(())
 }

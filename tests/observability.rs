@@ -209,6 +209,10 @@ fn serving_records_stage_breakdown() {
     assert_eq!(snap.hist("serve.query").map(|h| h.count), Some(served));
     assert_eq!(snap.hist("serve.community_size").map(|h| h.count), Some(served));
     assert!(snap.hist("identify.candidates").is_some_and(|h| h.count >= served));
+    // AFC queries carry attributes, so each BFS walks the fusion graph
+    // and records the attribute member lists it scanned.
+    assert!(split.test.iter().all(|q| !q.attrs.is_empty()));
+    assert_eq!(snap.hist("identify.attr_lists").map(|h| h.count), Some(served));
 
     // JSONL round-trip: the final snapshot line parses back identically.
     let line = snap.to_json();

@@ -114,11 +114,21 @@ proptest! {
 
     #[test]
     fn fusion_graph_is_supergraph_of_structure(data in dataset_strategy()) {
-        let fusion = data.graph.fusion_graph(50);
-        for (u, v) in data.graph.graph().edges() {
-            prop_assert!(fusion.has_edge(u, v));
+        use qdgnn::graph::traversal::Expand;
+        let fusion = data.graph.fusion(50);
+        let structure = data.graph.graph();
+        let mut fusion_edges = 0;
+        for u in structure.vertices() {
+            let mut scanned = vec![false; fusion.num_lists()];
+            let mut adjacent = vec![false; fusion.num_vertices()];
+            fusion.expand(u, &mut scanned, |v| adjacent[v as usize] = true);
+            adjacent[u as usize] = false;
+            for &v in structure.neighbors(u) {
+                prop_assert!(adjacent[v as usize]);
+            }
+            fusion_edges += adjacent.iter().filter(|&&a| a).count();
         }
-        prop_assert!(fusion.num_edges() >= data.graph.graph().num_edges());
+        prop_assert!(fusion_edges / 2 >= structure.num_edges());
     }
 
     #[test]
