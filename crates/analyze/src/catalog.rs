@@ -214,8 +214,7 @@ pub const RULES: &[Rule] = &[
                   metric catalog",
         rationale: "Dashboards, alerts and the telemetry endpoint key on \
                     metric names; a name passed to counter/gauge/observe/\
-                    event/trace/op_timer/span!/series_observe/flight_event \
-                    (or a _with variant) that is \
+                    event/trace/op_timer/span! (or a _with variant) that is \
                     missing from METRIC_NAMES in crates/obs/src/names.rs — \
                     and its human table crates/obs/METRICS.md — drifts out \
                     of every dashboard silently. Labeled series are \

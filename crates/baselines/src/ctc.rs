@@ -67,7 +67,7 @@ impl Ctc {
             let sub = graph.induced_subgraph(&members);
             let local_query: Vec<VertexId> =
                 query.iter().filter_map(|&q| sub.local(q)).collect();
-            let dist = traversal::bfs_distances(&sub.graph, &local_query);
+            let dist = traversal::bfs_distances(&sub.graph, &local_query, usize::MAX);
             let dmax = (0..sub.len())
                 .map(|v| dist[v])
                 .filter(|&d| d != usize::MAX)

@@ -18,8 +18,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use qdgnn_core::interactive::{candidate_by_bfs, select_k_by_scores, SubgraphScorer};
-use qdgnn_core::inputs::GraphTensors;
 use qdgnn_data::Query;
+use qdgnn_graph::attributed::{adjacency_matrix, AdjNorm};
 use qdgnn_graph::{traversal, AttributedGraph, VertexId};
 use qdgnn_tensor::{Adam, AdamConfig, Dense, GradStore, ParamStore, Tape};
 
@@ -69,16 +69,20 @@ impl IcsGnn {
         IcsGnn { config }
     }
 
-    /// Trains a fresh two-layer GCN on the candidate subgraph and returns
-    /// per-vertex scores. `query` is in local vertex ids.
+    /// Trains a fresh two-layer GCN on the candidate subgraph `graph` and
+    /// returns per-vertex scores. `query_vertices` are in `graph`'s ids.
     pub fn train_and_score(
         &self,
-        tensors: &GraphTensors,
+        graph: &AttributedGraph,
         query_vertices: &[VertexId],
         seed: u64,
     ) -> Vec<f32> {
         let cfg = &self.config;
-        let n = tensors.n;
+        let n = graph.num_vertices();
+        let adj = Arc::new(adjacency_matrix(graph.graph(), AdjNorm::GcnSym));
+        let adj_t = Arc::new(adj.transpose());
+        let feat = Arc::new(graph.attribute_matrix());
+        let feat_t = Arc::new(feat.transpose());
         let mut rng = StdRng::seed_from_u64(seed ^ cfg.seed);
 
         // Labels: positives = query vertices; negatives = the farthest
@@ -89,7 +93,7 @@ impl IcsGnn {
             target.set(q as usize, 0, 1.0);
             weight.set(q as usize, 0, 1.0);
         }
-        let dist = traversal::bfs_distances(tensors.graph.graph(), query_vertices);
+        let dist = traversal::bfs_distances(graph.graph(), query_vertices, usize::MAX);
         let mut by_distance: Vec<VertexId> = (0..n as VertexId)
             .filter(|&v| !query_vertices.contains(&v))
             .collect();
@@ -106,7 +110,7 @@ impl IcsGnn {
 
         // Fresh GCN parameters.
         let mut store = ParamStore::new();
-        let w1 = store.xavier("gcn.w1", tensors.d, cfg.hidden, &mut rng);
+        let w1 = store.xavier("gcn.w1", graph.num_attrs(), cfg.hidden, &mut rng);
         let b1 = store.zeros("gcn.b1", 1, cfg.hidden);
         let w2 = store.xavier("gcn.w2", cfg.hidden, 1, &mut rng);
         let b2 = store.zeros("gcn.b2", 1, 1);
@@ -117,13 +121,13 @@ impl IcsGnn {
             let b1v = tape.leaf(Arc::clone(store.value(b1)));
             let w2v = tape.leaf(Arc::clone(store.value(w2)));
             let b2v = tape.leaf(Arc::clone(store.value(b2)));
-            let xw = tape.spmm(&tensors.feat, &tensors.feat_t, w1v);
+            let xw = tape.spmm(&feat, &feat_t, w1v);
             let xwb = tape.add_row(xw, b1v);
-            let h1 = tape.spmm(&tensors.adj, &tensors.adj_t, xwb);
+            let h1 = tape.spmm(&adj, &adj_t, xwb);
             let h1 = tape.relu(h1);
             let hw = tape.matmul(h1, w2v);
             let hwb = tape.add_row(hw, b2v);
-            let logits = tape.spmm(&tensors.adj, &tensors.adj_t, hwb);
+            let logits = tape.spmm(&adj, &adj_t, hwb);
             (logits, vec![(w1v, w1), (b1v, b1), (w2v, w2), (b2v, b2)])
         };
 
@@ -153,14 +157,8 @@ impl SubgraphScorer for IcsGnn {
         "ICS-GNN".to_string()
     }
 
-    fn score_subgraph(
-        &self,
-        _sub: &AttributedGraph,
-        tensors: &GraphTensors,
-        query: &Query,
-        seed: u64,
-    ) -> Vec<f32> {
-        self.train_and_score(tensors, &query.vertices, seed)
+    fn score_subgraph(&self, sub: &AttributedGraph, query: &Query, seed: u64) -> Vec<f32> {
+        self.train_and_score(sub, &query.vertices, seed)
     }
 }
 
@@ -187,9 +185,7 @@ impl CommunityMethod for IcsGnn {
         let (sub, map) = graph.induced_subgraph(&candidate);
         let local_query: Vec<VertexId> =
             query.vertices.iter().filter_map(|&v| map.local(v)).collect();
-        let tensors =
-            GraphTensors::new(&sub, qdgnn_graph::attributed::AdjNorm::GcnSym, 100);
-        let scores = self.train_and_score(&tensors, &local_query, 7);
+        let scores = self.train_and_score(&sub, &local_query, 7);
         let k = query.truth.len().max(local_query.len());
         let local = select_k_by_scores(sub.graph(), &local_query, &scores, k);
         let mut global = map.to_global(&local);
@@ -211,11 +207,10 @@ mod tests {
     #[test]
     fn scores_separate_positives_from_negatives() {
         let data = presets::toy();
-        let t = GraphTensors::new(&data.graph, qdgnn_graph::attributed::AdjNorm::GcnSym, 100);
         let ics = IcsGnn::new(fast_config());
         let q = &data.communities[0][..2];
-        let scores = ics.train_and_score(&t, q, 1);
-        assert_eq!(scores.len(), t.n);
+        let scores = ics.train_and_score(&data.graph, q, 1);
+        assert_eq!(scores.len(), data.graph.num_vertices());
         // Query vertices should be scored clearly above the global mean.
         let mean: f32 = scores.iter().sum::<f32>() / scores.len() as f32;
         for &v in q {
@@ -244,10 +239,9 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let data = presets::toy();
-        let t = GraphTensors::new(&data.graph, qdgnn_graph::attributed::AdjNorm::GcnSym, 100);
         let ics = IcsGnn::new(fast_config());
-        let a = ics.train_and_score(&t, &[0, 1], 42);
-        let b = ics.train_and_score(&t, &[0, 1], 42);
+        let a = ics.train_and_score(&data.graph, &[0, 1], 42);
+        let b = ics.train_and_score(&data.graph, &[0, 1], 42);
         assert_eq!(a, b);
     }
 }

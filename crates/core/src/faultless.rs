@@ -46,11 +46,6 @@ pub enum GradFault {
     /// Scales gradients by a huge factor — with clipping disabled this
     /// wrecks the weights and must trigger divergence rollback.
     ExplodeGrads(f32),
-    /// Panics mid-epoch, before the optimizer step is applied — a hard
-    /// crash inside training. Exercises the run registry's crash flight
-    /// recorder: the panic hook must flush `flight.ndjson` and leave the
-    /// series journal validator-clean.
-    PanicInStep,
 }
 
 fn registry() -> &'static Mutex<HashMap<u64, GradFault>> {
@@ -89,12 +84,6 @@ pub(crate) fn mutate_gradients(step: u64, grads: &mut GradStore) {
         None => {}
         Some(GradFault::NanGrads) => grads.scale(f32::NAN),
         Some(GradFault::ExplodeGrads(k)) => grads.scale(k),
-        Some(GradFault::PanicInStep) => {
-            // Panicking here is the contract: the run registry's panic
-            // hook must flush the flight recorder. Not reachable from
-            // any serving entry point, so no QD009 suppression needed.
-            panic!("chaos: injected panic in training step (attempt {step})")
-        }
     }
 }
 

@@ -243,8 +243,8 @@ mod tests {
         assert_eq!(t.fusion_attr_cap, 100);
         // The fusion graph is a supergraph of the structure graph: no
         // vertex is farther from vertex 0 in it, and some is nearer.
-        let on_structure = bfs_distances(t.graph.graph(), &[0]);
-        let on_fusion = bfs_distances(&t.graph.fusion(t.fusion_attr_cap), &[0]);
+        let on_structure = bfs_distances(t.graph.graph(), &[0], usize::MAX);
+        let on_fusion = bfs_distances(&t.graph.fusion(t.fusion_attr_cap), &[0], usize::MAX);
         assert!(on_fusion.iter().zip(&on_structure).all(|(f, s)| f <= s));
         assert_ne!(on_fusion, on_structure);
     }

@@ -29,15 +29,10 @@ pub trait SubgraphScorer {
 
     /// Returns one score per local vertex of `sub`.
     ///
-    /// `tensors` are the candidate's precomputed tensors; `query` is in
-    /// local vertex ids with `truth` restricted to the candidate.
-    fn score_subgraph(
-        &self,
-        sub: &AttributedGraph,
-        tensors: &GraphTensors,
-        query: &Query,
-        seed: u64,
-    ) -> Vec<f32>;
+    /// `query` is in local vertex ids with `truth` restricted to the
+    /// candidate. The scorer builds whatever tensors its model needs from
+    /// `sub`, so they match what the model was trained with.
+    fn score_subgraph(&self, sub: &AttributedGraph, query: &Query, seed: u64) -> Vec<f32>;
 }
 
 /// [`SubgraphScorer`] backed by a pre-trained model: one inference pass,
@@ -53,15 +48,13 @@ impl SubgraphScorer for ModelScorer<'_> {
         self.model.name().to_string()
     }
 
-    fn score_subgraph(
-        &self,
-        _sub: &AttributedGraph,
-        tensors: &GraphTensors,
-        query: &Query,
-        _seed: u64,
-    ) -> Vec<f32> {
-        let qv = encode_query(self.model, tensors, query);
-        predict_scores(self.model, tensors, &qv)
+    /// Scores on candidate tensors built with the model's own adjacency
+    /// normalization and fusion-graph attribute cap.
+    fn score_subgraph(&self, sub: &AttributedGraph, query: &Query, _seed: u64) -> Vec<f32> {
+        let cfg = self.model.config();
+        let tensors = GraphTensors::new(sub, cfg.adj_norm, cfg.fusion_graph_attr_cap);
+        let qv = encode_query(self.model, &tensors, query);
+        predict_scores(self.model, &tensors, &qv)
     }
 }
 
@@ -151,10 +144,8 @@ pub fn run_interactive(
                 t
             },
         };
-        let tensors = GraphTensors::new(&sub, qdgnn_graph::attributed::AdjNorm::GcnSym, 100);
         // 2. Score.
-        let scores =
-            scorer.score_subgraph(&sub, &tensors, &local_query, seed ^ (round as u64) << 8);
+        let scores = scorer.score_subgraph(&sub, &local_query, seed ^ (round as u64) << 8);
         // 3. k-sized greedy selection.
         let local_comm = select_k_by_scores(sub.graph(), &local_query.vertices, &scores, k);
         community = map.to_global(&local_comm);
@@ -192,7 +183,7 @@ pub fn run_interactive(
 
 /// BFS-order candidate extraction capped at `max_size` vertices.
 pub fn candidate_by_bfs(graph: &Graph, sources: &[VertexId], max_size: usize) -> Vec<VertexId> {
-    let dist = traversal::bfs_distances(graph, sources);
+    let dist = traversal::bfs_distances(graph, sources, usize::MAX);
     let mut reached: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
         .filter(|&v| dist[v as usize] != usize::MAX)
         .collect();
@@ -329,13 +320,7 @@ mod tests {
             fn label(&self) -> String {
                 "ticking".to_string()
             }
-            fn score_subgraph(
-                &self,
-                sub: &AttributedGraph,
-                _tensors: &GraphTensors,
-                _query: &Query,
-                _seed: u64,
-            ) -> Vec<f32> {
+            fn score_subgraph(&self, sub: &AttributedGraph, _: &Query, _: u64) -> Vec<f32> {
                 self.clock.advance_micros(1_000);
                 vec![0.5; sub.num_vertices()]
             }

@@ -57,7 +57,7 @@ pub fn extract_candidate(
     cfg: &SubgraphConfig,
 ) -> Candidate {
     let fusion = graph.fusion(model_config.fusion_graph_attr_cap);
-    let dist = traversal::bfs_distances(&fusion, &query.vertices);
+    let dist = traversal::bfs_distances(&fusion, &query.vertices, 2);
     let within = |hops: usize| -> Vec<VertexId> {
         (0..dist.len() as VertexId).filter(|&v| dist[v as usize] <= hops).collect()
     };

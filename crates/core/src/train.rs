@@ -275,15 +275,6 @@ pub(crate) fn run_training_from<M: CsModel>(
             skipped_steps = 0;
         }
     }
-    // Run-registry journal: a resumed run's recorder starts as a copy of
-    // the parent's journal; truncating at the resume epoch and replaying
-    // from there leaves `series.ndjson` byte-identical to an
-    // uninterrupted run's (riding on epoch-order determinism). All
-    // per-epoch series below use the loop's `epoch` index as the step,
-    // so everything at or after the resume point is replayed exactly.
-    if start_epoch > 0 {
-        qdgnn_obs::runs::series_truncate_from(start_epoch as u64);
-    }
     let mut epochs_run = start_epoch;
     let mut diverged = false;
     let mut checkpoint_write_failures = 0usize;
@@ -378,8 +369,6 @@ pub(crate) fn run_training_from<M: CsModel>(
         );
         qdgnn_obs::gauge("train.loss").set(mean as f64);
         qdgnn_obs::gauge("train.lr").set(opt.lr() as f64);
-        qdgnn_obs::runs::series_observe("train.loss", epoch as u64, mean as f64);
-        qdgnn_obs::runs::series_observe("train.lr", epoch as u64, opt.lr() as f64);
 
         // Divergence detection: roll back to the last good epoch with a
         // halved learning rate rather than letting a blown-up run burn
@@ -403,19 +392,6 @@ pub(crate) fn run_training_from<M: CsModel>(
                     ("lr", opt.lr() as f64),
                 ],
             );
-            // A rollback is exactly the moment the flight recorder is
-            // for: note it in the ring and flush the recent history so a
-            // later crash (or a post-mortem) can see the lead-up.
-            qdgnn_obs::runs::flight_event(
-                "train.divergence_rollback",
-                &[
-                    ("epoch", epoch as f64),
-                    ("recoveries", recoveries as f64),
-                    ("loss", mean as f64),
-                    ("lr", opt.lr() as f64),
-                ],
-            );
-            qdgnn_obs::runs::flight_flush();
             continue;
         }
         good = (model.checkpoint(), opt.state());
@@ -428,8 +404,6 @@ pub(crate) fn run_training_from<M: CsModel>(
                     "train.validate",
                     &[("epoch", (epoch + 1) as f64), ("f1", f1), ("gamma", gamma as f64)],
                 );
-                qdgnn_obs::runs::series_observe("train.val_f1", epoch as u64, f1);
-                qdgnn_obs::runs::series_observe("train.val_gamma", epoch as u64, gamma as f64);
                 if f1 > best.0 {
                     best = (f1, gamma, Some(model.checkpoint()));
                     stale_validations = 0;
@@ -468,10 +442,6 @@ pub(crate) fn run_training_from<M: CsModel>(
                         checkpoint_write_failures += 1;
                         qdgnn_obs::counter("train.checkpoint_write_failures").inc();
                         qdgnn_obs::event(
-                            "train.checkpoint_write_failed",
-                            &[("epoch", (epoch + 1) as f64)],
-                        );
-                        qdgnn_obs::runs::flight_event(
                             "train.checkpoint_write_failed",
                             &[("epoch", (epoch + 1) as f64)],
                         );

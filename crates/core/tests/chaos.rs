@@ -147,55 +147,6 @@ fn exploded_gradients_are_neutralized_by_clipping() {
 }
 
 #[test]
-fn mid_epoch_panic_flushes_flight_recorder_and_leaves_clean_journal() {
-    let _guard = chaos_lock();
-    let (t, train, val, _) = setup();
-
-    let root = std::env::temp_dir()
-        .join(format!("qdgnn_chaos_flight_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-    let rec = std::sync::Arc::new(
-        qdgnn_obs::runs::RunRecorder::create(&root, 11, "toy", "chaos-cfg").unwrap(),
-    );
-    let run_dir = rec.dir().to_path_buf();
-    qdgnn_obs::runs::install(rec);
-    qdgnn_obs::runs::install_panic_flush();
-
-    // A hard crash in the middle of 0-based epoch 3: the process "dies"
-    // (here: the unwind is caught), and the panic hook must have flushed
-    // the flight ring to disk before anything else ran.
-    faultless::inject_at_step(3 * STEPS_PER_EPOCH + 2, GradFault::PanicInStep);
-    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Trainer::new(cfg(8)).train(QdGnn::new(ModelConfig::fast(), t.d), &t, &train, &val)
-    }));
-    assert!(crashed.is_err(), "the injected fault must panic mid-epoch");
-    assert_eq!(faultless::pending(), 0, "the fault must have fired");
-    qdgnn_obs::runs::uninstall();
-
-    let flight = std::fs::read_to_string(run_dir.join("flight.ndjson"))
-        .expect("panic hook must flush flight.ndjson");
-    assert!(
-        flight.contains("\"series\":\"train.loss\""),
-        "flight ring must hold the pre-crash loss trail: {flight}"
-    );
-    // Every flight line is schema-valid (a series point or an event).
-    for (i, line) in flight.lines().enumerate() {
-        let ok = qdgnn_obs::series::SeriesPoint::from_json(line).is_ok()
-            || qdgnn_obs::events::Event::from_json(line).is_ok();
-        assert!(ok, "flight line {} malformed: {line}", i + 1);
-    }
-    // The journal written before the crash stays validator-clean: epochs
-    // 0..=2 completed, so their steps are present, in order, no dupes.
-    let journal = std::fs::read_to_string(run_dir.join("series.ndjson")).unwrap();
-    let store = qdgnn_obs::series::SeriesStore::from_ndjson(&journal)
-        .expect("journal must stay parseable after a crash");
-    assert_eq!(store.last("train.loss").map(|(step, _)| step), Some(2));
-
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn damaged_model_files_are_rejected_with_invalid_data() {
     let (t, ..) = setup();
     let model = QdGnn::new(ModelConfig::fast(), t.d);

@@ -7,12 +7,10 @@
 //! comparisons; every table records which profile produced it.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use qdgnn_core::config::ModelConfig;
 use qdgnn_core::train::TrainConfig;
 use qdgnn_data::{presets, Dataset};
-use qdgnn_obs::runs::{self, DashServer, RunRecorder};
 
 /// Compute budget for an experiment run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,17 +105,6 @@ pub struct RunConfig {
     /// Write the structured metrics stream (JSONL events + final
     /// snapshot) to this path at the end of the run.
     pub metrics_out: Option<PathBuf>,
-    /// Run-registry root: journal this run's manifest + series under
-    /// `<run_dir>/run-NNNNNN/`.
-    pub run_dir: Option<PathBuf>,
-    /// Resume lineage: continue from this parent run id under `run_dir`
-    /// (a new run id is allocated; the manifest records `resumed_from`).
-    pub resume_run: Option<String>,
-    /// Serve the live run dashboard on this address while running.
-    pub dash: Option<String>,
-    /// Keep the process (and the dashboard) alive this many seconds
-    /// after the run finishes, so CI can scrape the endpoints.
-    pub dash_linger_secs: u64,
 }
 
 impl Default for RunConfig {
@@ -128,19 +115,8 @@ impl Default for RunConfig {
             out_dir: PathBuf::from("results"),
             dataset_filter: None,
             metrics_out: None,
-            run_dir: None,
-            resume_run: None,
-            dash: None,
-            dash_linger_secs: 0,
         }
     }
-}
-
-/// The dashboard listener outlives `from_args` and is shut down by
-/// [`RunConfig::write_metrics`] after any `--dash-linger-secs` window.
-fn dash_slot() -> &'static Mutex<Option<DashServer>> {
-    static SLOT: OnceLock<Mutex<Option<DashServer>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
 }
 
 impl RunConfig {
@@ -190,31 +166,10 @@ impl RunConfig {
                     qdgnn_obs::record_events(true);
                     i += 2;
                 }
-                "--run-dir" => {
-                    cfg.run_dir = Some(PathBuf::from(need_value(i)));
-                    i += 2;
-                }
-                "--resume-run" => {
-                    cfg.resume_run = Some(need_value(i).to_string());
-                    i += 2;
-                }
-                "--dash" => {
-                    cfg.dash = Some(need_value(i).to_string());
-                    i += 2;
-                }
-                "--dash-linger-secs" => {
-                    cfg.dash_linger_secs = need_value(i).parse().unwrap_or_else(|_| {
-                        eprintln!("bad --dash-linger-secs");
-                        std::process::exit(2);
-                    });
-                    i += 2;
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: <experiment> [--profile fast|std|paper] [--seed N] \
-                         [--out DIR] [--datasets a,b,c] [--metrics-out FILE.jsonl] \
-                         [--run-dir DIR] [--resume-run run-NNNNNN] [--dash ADDR] \
-                         [--dash-linger-secs N]"
+                         [--out DIR] [--datasets a,b,c] [--metrics-out FILE.jsonl]"
                     );
                     std::process::exit(0);
                 }
@@ -224,58 +179,7 @@ impl RunConfig {
                 }
             }
         }
-        cfg.start_run_observability();
         cfg
-    }
-
-    /// Opt-in run observability, applied once the full argument vector
-    /// is parsed (flag order must not matter): `--run-dir` starts (or
-    /// resumes, with `--resume-run`) a journaled run and installs it as
-    /// the process-global recorder with the panic-time flight flush;
-    /// `--dash` serves the run root live. Errors abort with exit 2 —
-    /// silently losing a requested journal would defeat the point.
-    fn start_run_observability(&self) {
-        let Some(root) = &self.run_dir else {
-            if self.resume_run.is_some() || self.dash.is_some() {
-                eprintln!("--resume-run/--dash require --run-dir");
-                std::process::exit(2);
-            }
-            return;
-        };
-        if let Err(e) = std::fs::create_dir_all(root) {
-            eprintln!("cannot create --run-dir {}: {e}", root.display());
-            std::process::exit(2);
-        }
-        let dataset = self
-            .datasets()
-            .iter()
-            .map(|d| d.name.clone())
-            .collect::<Vec<_>>()
-            .join(",");
-        let hash = runs::config_hash(&format!(
-            "profile={} seed={} datasets={dataset}",
-            self.profile.name(),
-            self.seed
-        ));
-        let recorder = match &self.resume_run {
-            Some(parent) => RunRecorder::resume(root, parent),
-            None => RunRecorder::create(root, self.seed, &dataset, &hash),
-        };
-        let recorder = recorder.unwrap_or_else(|e| {
-            eprintln!("cannot start run journal under {}: {e}", root.display());
-            std::process::exit(2);
-        });
-        eprintln!("run journal: {}", recorder.dir().display());
-        runs::install(Arc::new(recorder));
-        runs::install_panic_flush();
-        if let Some(addr) = &self.dash {
-            let dash = DashServer::start(addr, root.clone()).unwrap_or_else(|e| {
-                eprintln!("cannot bind dashboard on {addr}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("run dashboard: http://{}/", dash.addr());
-            *dash_slot().lock().unwrap_or_else(|p| p.into_inner()) = Some(dash);
-        }
     }
 
     /// The profile's datasets after applying `--datasets`.
@@ -311,30 +215,6 @@ impl RunConfig {
                 }
             }
         }
-        self.finish_run_observability();
-    }
-
-    /// End-of-run teardown for `--run-dir`/`--dash`: flushes the flight
-    /// ring one final time, optionally lingers so a scraper can hit the
-    /// dashboard after the run completed, then shuts the listener down
-    /// and uninstalls the recorder.
-    fn finish_run_observability(&self) {
-        if self.run_dir.is_none() {
-            return;
-        }
-        runs::flight_flush();
-        if self.dash_linger_secs > 0 && self.dash.is_some() {
-            // The 'lingering' line is what CI greps for before scraping.
-            eprintln!("lingering {}s for dashboard scrapes", self.dash_linger_secs);
-            std::thread::sleep(std::time::Duration::from_secs(self.dash_linger_secs));
-        }
-        // Take the server out of the slot first: shutdown() joins the
-        // listener thread, which must not happen under the slot lock.
-        let taken = dash_slot().lock().unwrap_or_else(|p| p.into_inner()).take();
-        if let Some(mut dash) = taken {
-            dash.shutdown();
-        }
-        runs::uninstall();
     }
 
     /// Banner line printed at the top of every experiment.

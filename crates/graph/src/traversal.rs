@@ -54,12 +54,14 @@ const UNSEEN: u32 = u32::MAX;
 const REFUSED: u32 = u32::MAX - 1;
 
 /// Breadth-first search from `sources` that enters a vertex only if
-/// `admit` accepts it (sources always enter). Returns each vertex's hop
-/// distance, or [`UNSEEN`] / [`REFUSED`] for vertices not entered, and
-/// the number of shared lists scanned.
+/// `admit` accepts it (sources always enter), and expands no vertex at
+/// distance `max_hops`. Returns each vertex's hop distance, or
+/// [`UNSEEN`] / [`REFUSED`] for vertices not entered, and the number of
+/// shared lists scanned.
 fn bfs(
     graph: &impl Expand,
     sources: &[VertexId],
+    max_hops: u32,
     mut admit: impl FnMut(VertexId) -> bool,
 ) -> (Vec<u32>, usize) {
     let mut state = vec![UNSEEN; graph.num_vertices()];
@@ -74,6 +76,10 @@ fn bfs(
     let (mut head, mut lists) = (0, 0);
     while let Some(&u) = queue.get(head) {
         head += 1;
+        // The queue is in distance order: every vertex left is at the bound.
+        if state[u as usize] >= max_hops {
+            break;
+        }
         let next = state[u as usize] + 1;
         lists += graph.expand(u, &mut scanned, |v| {
             let s = &mut state[v as usize];
@@ -90,10 +96,11 @@ fn bfs(
     (state, lists)
 }
 
-/// BFS distances from a set of sources; unreachable vertices get
-/// `usize::MAX`.
-pub fn bfs_distances(graph: &impl Expand, sources: &[VertexId]) -> Vec<usize> {
-    let (state, _) = bfs(graph, sources, |_| true);
+/// BFS distances from a set of sources, up to `max_hops` (`usize::MAX`
+/// for no bound); vertices unreachable within it get `usize::MAX`.
+pub fn bfs_distances(graph: &impl Expand, sources: &[VertexId], max_hops: usize) -> Vec<usize> {
+    let max_hops = u32::try_from(max_hops).unwrap_or(u32::MAX);
+    let (state, _) = bfs(graph, sources, max_hops, |_| true);
     state.into_iter().map(|d| if d == UNSEEN { usize::MAX } else { d as usize }).collect()
 }
 
@@ -124,7 +131,7 @@ pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
 
 /// The connected component containing `start`, as a sorted vertex list.
 pub fn component_of(graph: &Graph, start: VertexId) -> Vec<VertexId> {
-    let (state, _) = bfs(graph, &[start], |_| true);
+    let (state, _) = bfs(graph, &[start], u32::MAX, |_| true);
     (0..graph.num_vertices() as VertexId).filter(|&v| state[v as usize] != UNSEEN).collect()
 }
 
@@ -173,7 +180,7 @@ pub fn constrained_bfs(
         graph.num_vertices(),
         "scores length must equal vertex count"
     );
-    let (state, lists_scanned) = bfs(graph, query, |v| scores[v as usize] >= gamma);
+    let (state, lists_scanned) = bfs(graph, query, u32::MAX, |v| scores[v as usize] >= gamma);
     let members = state
         .iter()
         .enumerate()
@@ -195,14 +202,14 @@ mod tests {
     #[test]
     fn bfs_distances_basic() {
         let g = two_triangles();
-        let d = bfs_distances(&g, &[0]);
+        let d = bfs_distances(&g, &[0], usize::MAX);
         assert_eq!(d, vec![0, 1, 1, 2, 3, 3]);
     }
 
     #[test]
     fn multi_source_bfs() {
         let g = two_triangles();
-        let d = bfs_distances(&g, &[0, 5]);
+        let d = bfs_distances(&g, &[0, 5], usize::MAX);
         assert_eq!(d[3], 1);
         assert_eq!(d[1], 1);
     }

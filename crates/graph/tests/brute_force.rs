@@ -248,7 +248,7 @@ proptest! {
 
     #[test]
     fn bfs_distances_satisfy_triangle_property(g in graph_strategy(14)) {
-        let dist = traversal::bfs_distances(&g, &[0]);
+        let dist = traversal::bfs_distances(&g, &[0], usize::MAX);
         for (u, v) in g.edges() {
             let du = dist[u as usize];
             let dv = dist[v as usize];
@@ -316,14 +316,19 @@ proptest! {
     fn implicit_bfs_distances_match_materialized(
         (ag, _scores, sources) in attributed_case(16),
         cap in 0..CAPS.len(),
+        max_hops in 0usize..5,
     ) {
         let cap = CAPS[cap];
+        let fusion = ag.fusion(cap);
+        let full = naive_distances(&fusion_graph(&ag, cap), &sources);
         // Equal distances give equal k-hop sets, which is what candidate
         // extraction (§7.4) takes from them.
-        prop_assert_eq!(
-            traversal::bfs_distances(&ag.fusion(cap), &sources),
-            naive_distances(&fusion_graph(&ag, cap), &sources)
-        );
+        prop_assert_eq!(traversal::bfs_distances(&fusion, &sources, usize::MAX), full.clone());
+        // A hop bound keeps every distance within it and reaches nothing
+        // beyond it.
+        let bounded: Vec<usize> =
+            full.iter().map(|&d| if d <= max_hops { d } else { usize::MAX }).collect();
+        prop_assert_eq!(traversal::bfs_distances(&fusion, &sources, max_hops), bounded);
     }
 }
 
@@ -360,8 +365,8 @@ fn implicit_fusion_bfs_matches_materialized_on_presets() {
                     );
                 }
                 assert_eq!(
-                    traversal::bfs_distances(&fusion, query),
-                    traversal::bfs_distances(&reference, query),
+                    traversal::bfs_distances(&fusion, query, usize::MAX),
+                    traversal::bfs_distances(&reference, query, usize::MAX),
                     "{} community {c}, query {query:?}: distances",
                     data.name
                 );

@@ -1,29 +1,16 @@
-//! `qdgnn-obs-validate` — schema checker for `--metrics-out` JSONL files
-//! and `--run-dir` run journals.
+//! `qdgnn-obs-validate` — schema checker for `--metrics-out` JSONL files.
 //!
-//! Default mode validates metrics files: every line is a well-formed
-//! `span`, `event`, `trace` or `snapshot` object, exactly one snapshot
-//! is present and final, and the snapshot never records the same base
-//! name both as an unlabeled series and as a labeled one (such a
-//! collision would render as conflicting Prometheus series).
-//!
-//! With `--run-dir`, each path is a run-registry root instead: every
-//! `run-*/` under it must carry a schema-clean `manifest.json` (string
-//! id/dataset/config-hash, numeric seed/start time — a manifest missing
-//! its seed or config hash is rejected) and a `series.ndjson` whose
-//! `(series, step)` pairs are unique with strictly increasing steps per
-//! series; a `flight.ndjson`, when present, must be line-parseable as
-//! series points or events. Exits 0 on success, 1 with a diagnostic
-//! otherwise. Used by the CI obs job.
+//! Every line must be a well-formed `span`, `event`, `trace` or
+//! `snapshot` object, exactly one snapshot is present and final, and the
+//! snapshot never records the same base name both as an unlabeled series
+//! and as a labeled one (such a collision would render as conflicting
+//! Prometheus series). Exits 0 on success, 1 with a diagnostic otherwise.
+//! Used by the CI obs job.
 
-use std::path::Path;
 use std::process::ExitCode;
 
-use qdgnn_obs::events::Event;
 use qdgnn_obs::json::{self, Value};
 use qdgnn_obs::metrics::MetricsSnapshot;
-use qdgnn_obs::runs::{list_runs, RunManifest};
-use qdgnn_obs::series::{SeriesPoint, SeriesStore};
 
 fn check_span(v: &Value) -> Result<(), String> {
     v.get("name").and_then(Value::as_str).ok_or("span missing string `name`")?;
@@ -151,99 +138,12 @@ fn validate(text: &str) -> Result<(usize, usize, usize, MetricsSnapshot), String
     Ok((spans, events, traces, snapshot))
 }
 
-/// Validates one run directory: manifest schema, series journal
-/// invariants (unique, strictly increasing steps per series), and — when
-/// a flight recorder file exists — that every flight line parses as a
-/// series point or an event.
-fn validate_run(dir: &Path) -> Result<(usize, usize), String> {
-    let manifest_path = dir.join("manifest.json");
-    let text = std::fs::read_to_string(&manifest_path)
-        .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
-    let manifest = RunManifest::from_json(text.trim())
-        .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
-    let expected = dir.file_name().map(|n| n.to_string_lossy().into_owned());
-    if expected.as_deref() != Some(manifest.id.as_str()) {
-        return Err(format!(
-            "{}: manifest id `{}` does not match directory name",
-            manifest_path.display(),
-            manifest.id
-        ));
-    }
-    let series_path = dir.join("series.ndjson");
-    let points = match std::fs::read_to_string(&series_path) {
-        Ok(text) => SeriesStore::from_ndjson(&text)
-            .map_err(|e| format!("{}: {e}", series_path.display()))?
-            .len(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-        Err(e) => return Err(format!("{}: {e}", series_path.display())),
-    };
-    let flight_path = dir.join("flight.ndjson");
-    let mut flight_lines = 0usize;
-    if let Ok(text) = std::fs::read_to_string(&flight_path) {
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if SeriesPoint::from_json(line).is_err() && Event::from_json(line).is_err() {
-                return Err(format!(
-                    "{}: line {}: neither a series point nor an event",
-                    flight_path.display(),
-                    i + 1
-                ));
-            }
-            flight_lines += 1;
-        }
-    }
-    Ok((points, flight_lines))
-}
-
-/// Validates every run under each root given after `--run-dir`.
-fn run_dir_mode(roots: &[&String]) -> ExitCode {
-    let mut ok = true;
-    for root in roots {
-        let runs = list_runs(Path::new(root));
-        if runs.is_empty() {
-            eprintln!("{root}: no runs found");
-            ok = false;
-            continue;
-        }
-        for (id, dir) in runs {
-            match validate_run(&dir) {
-                Ok((points, flight)) => {
-                    println!("{root}/{id}: ok ({points} series points, {flight} flight lines)");
-                }
-                Err(e) => {
-                    eprintln!("{root}/{id}: INVALID: {e}");
-                    ok = false;
-                }
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (run_dir, rest): (Vec<&String>, Vec<&String>) =
-        args.iter().partition(|a| a.as_str() == "--run-dir");
-    if !run_dir.is_empty() {
-        if rest.is_empty() {
-            eprintln!("usage: qdgnn-obs-validate --run-dir <run-root>...");
-            return ExitCode::FAILURE;
-        }
-        return run_dir_mode(&rest);
-    }
     let (prom, paths): (Vec<&String>, Vec<&String>) =
-        rest.into_iter().partition(|a| a.as_str() == "--prometheus");
+        args.iter().partition(|a| a.as_str() == "--prometheus");
     if paths.is_empty() {
-        eprintln!(
-            "usage: qdgnn-obs-validate [--prometheus] <metrics.jsonl>...\n\
-             \x20      qdgnn-obs-validate --run-dir <run-root>..."
-        );
+        eprintln!("usage: qdgnn-obs-validate [--prometheus] <metrics.jsonl>...");
         return ExitCode::FAILURE;
     }
     let mut ok = true;
@@ -277,74 +177,6 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-#[cfg(test)]
-mod run_dir_tests {
-    use super::validate_run;
-    use qdgnn_obs::runs::RunRecorder;
-    use std::fs;
-    use std::path::PathBuf;
-
-    fn tmp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("qdgnn-validate-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("temp run root");
-        dir
-    }
-
-    #[test]
-    fn accepts_a_recorder_written_run() {
-        let root = tmp_root("ok");
-        let rec = RunRecorder::create(&root, 3, "toy", "hash").unwrap();
-        rec.record_point("train.loss", 0, 1.0).unwrap();
-        rec.record_point("train.loss", 1, 0.5).unwrap();
-        rec.flight_event("train.divergence_rollback", &[("epoch", 1.0)]);
-        rec.flush_flight().unwrap();
-        let (points, flight) = validate_run(rec.dir()).unwrap();
-        assert_eq!((points, flight), (2, 3));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn rejects_duplicate_steps_missing_seed_and_garbage_flight() {
-        let root = tmp_root("bad");
-        let rec = RunRecorder::create(&root, 3, "toy", "hash").unwrap();
-        let dir = rec.dir().to_path_buf();
-        // Duplicate (series, step) smuggled into the journal by hand.
-        fs::write(
-            dir.join("series.ndjson"),
-            concat!(
-                "{\"type\":\"series\",\"series\":\"train.loss\",\"step\":1,\"value\":1}\n",
-                "{\"type\":\"series\",\"series\":\"train.loss\",\"step\":1,\"value\":2}\n",
-            ),
-        )
-        .unwrap();
-        assert!(validate_run(&dir).unwrap_err().contains("duplicate or regressed"));
-        fs::write(dir.join("series.ndjson"), "").unwrap();
-
-        // Manifest without a seed.
-        let manifest = fs::read_to_string(dir.join("manifest.json")).unwrap();
-        fs::write(dir.join("manifest.json"), manifest.replace("\"seed\":3,", "")).unwrap();
-        assert!(validate_run(&dir).unwrap_err().contains("seed"));
-        fs::write(dir.join("manifest.json"), &manifest).unwrap();
-
-        // Unparseable flight recorder line.
-        fs::write(dir.join("flight.ndjson"), "not json at all\n").unwrap();
-        assert!(validate_run(&dir).unwrap_err().contains("neither a series point"));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn rejects_manifest_id_directory_mismatch() {
-        let root = tmp_root("mismatch");
-        let rec = RunRecorder::create(&root, 3, "toy", "hash").unwrap();
-        let moved = root.join("run-000099");
-        fs::rename(rec.dir(), &moved).unwrap();
-        assert!(validate_run(&moved).unwrap_err().contains("does not match directory"));
-        let _ = fs::remove_dir_all(&root);
     }
 }
 

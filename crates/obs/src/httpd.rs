@@ -1,13 +1,8 @@
 //! A dependency-free HTTP/1.0 server for read-only telemetry views.
 //!
-//! Lifted out of the serving engine's telemetry endpoint so every
-//! observability surface in the workspace — the serve daemon's
-//! `/metrics`/`/healthz`/`/traces` endpoints and the training-run
-//! dashboard ([`crate::runs::DashServer`]) — shares one hardened
-//! listener instead of growing parallel socket loops.
-//!
-//! The protocol surface is deliberately tiny and identical for every
-//! consumer: GET only, bounded request read, per-connection read/write
+//! Backs the serve daemon's `/metrics`/`/healthz`/`/traces` endpoints
+//! (`qdgnn_serve::http`). The protocol surface is deliberately tiny:
+//! GET only, bounded request read, per-connection read/write
 //! timeouts, `Connection: close` on every response, and all requests
 //! served inline from a single dedicated thread (telemetry traffic is a
 //! scraper every few seconds, not a request flood) so a slow or hostile

@@ -27,14 +27,9 @@
 //! Data types ([`metrics::MetricsSnapshot`], [`events::Event`], the
 //! [`json`] reader) are compiled unconditionally — only the global
 //! registry and recording paths are gated — so snapshot files can be
-//! parsed and validated from any build.
-//!
-//! Training-run observability rides on top: the run registry and
-//! step-indexed series journal ([`runs`], [`series`]), the crash flight
-//! recorder, and the live run dashboard served over the shared
-//! dependency-free HTTP listener ([`httpd`]). These are explicit opt-in
-//! (an experiment binary installs a recorder via `--run-dir`), not
-//! hot-path instrumentation, so they too compile unconditionally.
+//! parsed and validated from any build. So is [`httpd`], the
+//! dependency-free HTTP listener behind the serve daemon's telemetry
+//! endpoint.
 
 #![warn(missing_docs)]
 
@@ -44,8 +39,6 @@ pub mod folded;
 pub mod httpd;
 pub mod json;
 pub mod metrics;
-pub mod runs;
-pub mod series;
 
 pub mod names;
 

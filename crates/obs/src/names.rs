@@ -22,7 +22,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "mem.peak_bytes",
     "obs.events_dropped",
     "obs.labels_dropped",
-    "obs.series_dropped",
     "serve.batch_size",
     "serve.bfs",
     "serve.breaker_trips",
@@ -85,8 +84,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "train.report.skipped_steps",
     "train.report.train_seconds",
     "train.step_skipped",
-    "train.val_f1",
-    "train.val_gamma",
     "train.validate",
 ];
 

@@ -17,9 +17,8 @@
 //!
 //! The socket machinery (GET-only parsing, bounded reads, timeouts,
 //! single-thread accept loop, self-connect shutdown) lives in the shared
-//! [`qdgnn_obs::httpd`] listener — the same server that backs the
-//! training-run dashboard — so this module is only the engine-specific
-//! routing.
+//! [`qdgnn_obs::httpd`] listener, so this module is only the
+//! engine-specific routing.
 
 use std::net::SocketAddr;
 use std::sync::Arc;

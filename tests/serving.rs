@@ -111,3 +111,45 @@ fn sanitizer_names_the_eval_layer_behind_a_nan() {
     let batch = QueryBatch::try_stack(&[q]).expect("one query stacks");
     let _ = predict_scores_batch(&model, &tensors, None, &batch);
 }
+
+/// Each interactive round scores its candidate on tensors built with the
+/// model's own adjacency normalization: round 0 of `run_interactive`
+/// returns the community that scoring the candidate under the model's
+/// `ModelConfig` gives, not the one a fixed `GcnSym` would give.
+#[test]
+fn interactive_rounds_score_candidates_with_the_models_adj_norm() {
+    use qdgnn::core::interactive::{candidate_by_bfs, select_k_by_scores};
+    use qdgnn::graph::attributed::AdjNorm;
+
+    let data = qdgnn::data::presets::toy();
+    let config = ModelConfig { adj_norm: AdjNorm::Mean, ..ModelConfig::fast() };
+    let model = AqdGnn::new(config.clone(), data.graph.num_attrs());
+    let cfg = InteractiveConfig { rounds: 1, candidate_size: 40, ..Default::default() };
+    let queries = qdgnn::data::queries::generate(&data, 12, 1, 2, AttrMode::FromCommunity, 29);
+
+    // Round 0 rebuilt by hand: candidate, scores under `norm`, k-selection.
+    let round0 = |q: &Query, norm: AdjNorm| -> Vec<VertexId> {
+        let candidate = candidate_by_bfs(data.graph.graph(), &q.vertices, cfg.candidate_size);
+        let (sub, map) = data.graph.induced_subgraph(&candidate);
+        let local: Vec<VertexId> = q.vertices.iter().filter_map(|&v| map.local(v)).collect();
+        let tensors = GraphTensors::new(&sub, norm, config.fusion_graph_attr_cap);
+        let qv = QueryVectors::encode(tensors.n, tensors.d, &local, &q.attrs);
+        let scores = predict_scores(&model, &tensors, &qv);
+        let mut community =
+            map.to_global(&select_k_by_scores(sub.graph(), &local, &scores, q.truth.len()));
+        community.sort_unstable();
+        community
+    };
+
+    let scorer = ModelScorer { model: &model };
+    let mut told_apart = 0;
+    for (i, q) in queries.iter().enumerate() {
+        let outcome = run_interactive(&data.graph, &scorer, q, &cfg, i as u64);
+        let expected = round0(q, config.adj_norm);
+        assert_eq!(outcome.community, expected, "query {i}");
+        if expected != round0(q, AdjNorm::GcnSym) {
+            told_apart += 1;
+        }
+    }
+    assert!(told_apart > 0, "no query's community depends on the normalization");
+}
