@@ -16,10 +16,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qdgnn_data::Query;
-use qdgnn_graph::{f1_score, traversal, AttributedGraph, Graph, VertexId};
+use qdgnn_graph::{f1_score, AttributedGraph, Graph, VertexId};
 
 use crate::inputs::GraphTensors;
-use crate::models::{predict_scores, CsModel};
+use crate::models::{predict_scores_cached, CsModel};
 use crate::train::encode_query;
 
 /// Scores the vertices of a candidate subgraph for a (localized) query.
@@ -48,13 +48,14 @@ impl SubgraphScorer for ModelScorer<'_> {
         self.model.name().to_string()
     }
 
-    /// Scores on candidate tensors built with the model's own adjacency
-    /// normalization and fusion-graph attribute cap.
+    /// Scores through the serving executor on candidate tensors built
+    /// with the model's own adjacency normalization and fusion-graph
+    /// attribute cap.
     fn score_subgraph(&self, sub: &AttributedGraph, query: &Query, _seed: u64) -> Vec<f32> {
         let cfg = self.model.config();
         let tensors = GraphTensors::new(sub, cfg.adj_norm, cfg.fusion_graph_attr_cap);
-        let qv = encode_query(self.model, &tensors, query);
-        predict_scores(self.model, &tensors, &qv)
+        let cache = self.model.build_graph_cache(&tensors).unwrap_or_default();
+        predict_scores_cached(self.model, &tensors, &cache, &encode_query(self.model, &tensors, query))
     }
 }
 
@@ -181,14 +182,38 @@ pub fn run_interactive(
     InteractiveOutcome { f1_per_round, seconds_per_round: seconds, community }
 }
 
-/// BFS-order candidate extraction capped at `max_size` vertices.
+/// BFS-order candidate extraction capped at `max_size` vertices (at
+/// least the sources): the closest vertices by (hop distance, id),
+/// returned sorted by id. The BFS stops after the level that fills the
+/// cap, so it costs the candidate, not the graph.
 pub fn candidate_by_bfs(graph: &Graph, sources: &[VertexId], max_size: usize) -> Vec<VertexId> {
-    let dist = traversal::bfs_distances(graph, sources, usize::MAX);
-    let mut reached: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
-        .filter(|&v| dist[v as usize] != usize::MAX)
-        .collect();
-    reached.sort_by_key(|&v| (dist[v as usize], v));
-    reached.truncate(max_size.max(sources.len()));
+    let cap = max_size.max(sources.len());
+    let mut seen = vec![false; graph.num_vertices()];
+    let mut reached: Vec<VertexId> = Vec::new();
+    for &s in sources {
+        if !std::mem::replace(&mut seen[s as usize], true) {
+            reached.push(s);
+        }
+    }
+    // `reached` holds whole levels in BFS order; `level` is where the
+    // last one starts.
+    let mut level = 0;
+    while reached.len() < cap && level < reached.len() {
+        let end = reached.len();
+        for i in level..end {
+            for &v in graph.neighbors(reached[i]) {
+                if !std::mem::replace(&mut seen[v as usize], true) {
+                    reached.push(v);
+                }
+            }
+        }
+        level = end;
+    }
+    // Only the last level can overflow the cap; keep its smallest ids.
+    if reached.len() > cap {
+        reached[level..].sort_unstable();
+        reached.truncate(cap);
+    }
     reached.sort_unstable();
     reached
 }

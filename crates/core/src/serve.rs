@@ -4,7 +4,10 @@
 //!
 //! This is the deployment shape the paper's framework implies (§4.3):
 //! training happened offline, and each arriving query costs one
-//! query-branch inference plus a constrained BFS. There is one inference
+//! query-branch inference plus a constrained BFS. Every answer the repo
+//! computes comes from here: the serving engine, the CLI, training
+//! validation's scores, the experiment tables and §7.4's per-candidate
+//! answers. There is one inference
 //! path: [`OnlineStage::try_query_batch`] stacks every valid query into a
 //! single forward pass (one tape op per layer instead of one per query),
 //! and [`OnlineStage::try_query`] is a batch of one. Every call records
@@ -127,23 +130,6 @@ impl<'a> OnlineStage<'a> {
         self.cache.is_some()
     }
 
-    /// Validates one query against the served graph and encodes it:
-    /// EmA attribute dropping for non-attributed models, but out-of-range
-    /// attribute ids are always rejected.
-    fn encode_validated(&self, query: &Query) -> Result<QueryVectors, QdgnnError> {
-        let t = self.tensors();
-        // Validate all attributes, including ones a non-attributed model
-        // would drop (EmA semantics): an out-of-range id means the query
-        // was built against a different graph, which should not pass
-        // silently.
-        if let Some(&a) = query.attrs.iter().find(|&&a| (a as usize) >= t.d) {
-            return Err(QdgnnError::AttrOutOfRange { attr: a, d: t.d });
-        }
-        let attrs: &[u32] = if self.model().uses_attributes() { &query.attrs } else { &[] };
-        let _s = qdgnn_obs::span!("serve.encode");
-        QueryVectors::try_encode(t.n, t.d, &query.vertices, attrs)
-    }
-
     /// Per-vertex community scores `h_q` for a slice of queries, in one
     /// stacked forward pass. Every query vertex and attribute is checked
     /// against the served graph's dimensions, and a malformed query
@@ -155,7 +141,11 @@ impl<'a> OnlineStage<'a> {
         let mut valid: Vec<usize> = Vec::with_capacity(queries.len());
         let mut vectors: Vec<QueryVectors> = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
-            match self.encode_validated(q) {
+            let encoded = {
+                let _s = qdgnn_obs::span!("serve.encode");
+                try_encode_query(self.model(), self.tensors(), q)
+            };
+            match encoded {
                 Ok(qv) => {
                     valid.push(i);
                     vectors.push(qv);
@@ -241,10 +231,9 @@ impl<'a> OnlineStage<'a> {
     /// The post-inference community-identification step (constrained BFS
     /// plus community-size accounting), shared by all query entry points.
     fn identify(&self, query: &Query, scores: &[f32]) -> Vec<VertexId> {
-        let attributed = self.model().uses_attributes() && !query.attrs.is_empty();
         let community = {
             let _s = qdgnn_obs::span!("serve.bfs");
-            identify_community(self.tensors(), &query.vertices, scores, self.gamma, attributed)
+            identify_query(self.model(), self.tensors(), query, scores, self.gamma)
         };
         qdgnn_obs::observe("serve.community_size", community.len() as f64);
         community
@@ -274,6 +263,38 @@ impl<'a> OnlineStage<'a> {
     /// Batch-chunk size used by [`OnlineStage::evaluate`]: bounds the
     /// stacked working set while keeping the per-layer amortization.
     pub const EVAL_CHUNK: usize = 32;
+}
+
+/// Encodes `query` for `model` against the graph of `t`, the one place
+/// the EmA rule lives: a model that does not consume attributes sees
+/// none, yet every attribute id is still checked, since an out-of-range
+/// id means the query was built against a different graph. Malformed
+/// queries surface as [`QdgnnError`] values, never panics.
+pub(crate) fn try_encode_query(
+    model: &dyn CsModel,
+    t: &GraphTensors,
+    query: &Query,
+) -> Result<QueryVectors, QdgnnError> {
+    if let Some(&a) = query.attrs.iter().find(|&&a| (a as usize) >= t.d) {
+        return Err(QdgnnError::AttrOutOfRange { attr: a, d: t.d });
+    }
+    let attrs: &[u32] = if model.uses_attributes() { &query.attrs } else { &[] };
+    QueryVectors::try_encode(t.n, t.d, &query.vertices, attrs)
+}
+
+/// Community identification from `query`'s scores at threshold `gamma`
+/// (§4.3, §6.6): the constrained BFS walks the fusion graph when the model
+/// consumes attributes and the query carries some, the structure graph
+/// otherwise.
+pub(crate) fn identify_query(
+    model: &dyn CsModel,
+    t: &GraphTensors,
+    query: &Query,
+    scores: &[f32],
+    gamma: f32,
+) -> Vec<VertexId> {
+    let attributed = model.uses_attributes() && !query.attrs.is_empty();
+    identify_community(t, &query.vertices, scores, gamma, attributed)
 }
 
 #[cfg(test)]

@@ -14,10 +14,11 @@ use qdgnn_graph::graph::Subgraph;
 use qdgnn_graph::{traversal, AttributedGraph, CommunityMetrics, VertexId};
 
 use crate::config::ModelConfig;
-use crate::identify::identify_community;
+use crate::error::QdgnnError;
 use crate::inputs::GraphTensors;
-use crate::models::{predict_scores, CsModel};
-use crate::train::{encode_query, run_training, TrainConfig, TrainItem, TrainedModel};
+use crate::models::CsModel;
+use crate::serve::OnlineStage;
+use crate::train::{run_training, TrainConfig, TrainItem, TrainedModel, Validation};
 
 /// Candidate-subgraph extraction parameters.
 #[derive(Clone, Debug)]
@@ -126,60 +127,45 @@ impl SubgraphTrainer {
             .iter()
             .map(|q| extract_candidate(graph, q, model.config(), &self.subgraph_config))
             .collect();
-        let grid = self.train_config.gamma_grid.clone();
-        run_training(model, &items, &self.train_config, |m| {
-            if val_candidates.is_empty() {
-                None
-            } else {
-                Some(select_gamma_on_candidates(m, &val_candidates, val, &grid))
-            }
-        })
+        let validation = Validation::per_query(
+            val_candidates.iter().map(|c| (&c.tensors, &c.local_query, &c.map)),
+            val,
+        );
+        run_training(model, &items, &self.train_config, &validation, None)
     }
 }
 
 /// Predicts the community for `query` via its candidate subgraph,
-/// returning **global** vertex ids.
+/// returning **global** vertex ids: the candidate is served by its own
+/// [`OnlineStage`], so the answer is the served one.
+///
+/// # Errors
+/// The stage's typed error for a malformed query (e.g. no query vertex
+/// inside the candidate).
 pub fn predict_community_subgraph(
     model: &dyn CsModel,
     graph: &AttributedGraph,
     query: &Query,
     gamma: f32,
     cfg: &SubgraphConfig,
-) -> Vec<VertexId> {
+) -> Result<Vec<VertexId>, QdgnnError> {
     let cand = {
         let _s = qdgnn_obs::span!("serve.extract");
         extract_candidate(graph, query, model.config(), cfg)
     };
     qdgnn_obs::observe("serve.candidate_vertices", cand.tensors.n as f64);
-    predict_on_candidate(model, &cand, gamma)
-}
-
-/// Predicts on an already-extracted candidate (global ids).
-pub fn predict_on_candidate(model: &dyn CsModel, cand: &Candidate, gamma: f32) -> Vec<VertexId> {
-    let _query_span = qdgnn_obs::span!("serve.query");
-    qdgnn_obs::counter("serve.queries").inc();
-    let qv = {
-        let _s = qdgnn_obs::span!("serve.encode");
-        encode_query(model, &cand.tensors, &cand.local_query)
-    };
-    let scores = {
-        let _s = qdgnn_obs::span!("serve.forward");
-        predict_scores(model, &cand.tensors, &qv)
-    };
-    let attributed = model.uses_attributes() && !cand.local_query.attrs.is_empty();
-    let local = {
-        let _s = qdgnn_obs::span!("serve.bfs");
-        identify_community(&cand.tensors, &cand.local_query.vertices, &scores, gamma, attributed)
-    };
+    let local = OnlineStage::new(model, &cand.tensors, gamma).try_query(&cand.local_query)?;
     let mut global = cand.map.to_global(&local);
     global.sort_unstable();
-    qdgnn_obs::observe("serve.community_size", global.len() as f64);
-    global
+    Ok(global)
 }
 
 /// Micro-metrics over a query set evaluated through candidates, against
 /// the **full** (global) ground truth — missing a community member
 /// because the candidate was too small correctly costs recall.
+///
+/// # Panics
+/// Panics on malformed queries (evaluation sets are trusted input).
 pub fn evaluate_subgraph(
     model: &dyn CsModel,
     graph: &AttributedGraph,
@@ -189,52 +175,13 @@ pub fn evaluate_subgraph(
 ) -> CommunityMetrics {
     let predicted: Vec<Vec<VertexId>> = queries
         .iter()
-        .map(|q| predict_community_subgraph(model, graph, q, gamma, cfg))
+        .map(|q| match predict_community_subgraph(model, graph, q, gamma, cfg) {
+            Ok(c) => c,
+            Err(e) => panic!("invalid query in evaluation set: {e}"),
+        })
         .collect();
     let truth: Vec<Vec<VertexId>> = queries.iter().map(|q| q.truth.clone()).collect();
     CommunityMetrics::micro(&predicted, &truth)
-}
-
-/// γ sweep over precomputed candidates (validation inside training).
-fn select_gamma_on_candidates(
-    model: &dyn CsModel,
-    candidates: &[Candidate],
-    global_queries: &[Query],
-    grid: &[f32],
-) -> (f32, f64) {
-    let scored: Vec<Vec<f32>> = candidates
-        .iter()
-        .map(|c| {
-            let qv = encode_query(model, &c.tensors, &c.local_query);
-            predict_scores(model, &c.tensors, &qv)
-        })
-        .collect();
-    let truth: Vec<Vec<VertexId>> = global_queries.iter().map(|q| q.truth.clone()).collect();
-    let mut best = (grid.first().copied().unwrap_or(0.5), -1.0f64);
-    for &gamma in grid {
-        let predicted: Vec<Vec<VertexId>> = candidates
-            .iter()
-            .zip(&scored)
-            .map(|(c, scores)| {
-                let attributed = model.uses_attributes() && !c.local_query.attrs.is_empty();
-                let local = identify_community(
-                    &c.tensors,
-                    &c.local_query.vertices,
-                    scores,
-                    gamma,
-                    attributed,
-                );
-                let mut global = c.map.to_global(&local);
-                global.sort_unstable();
-                global
-            })
-            .collect();
-        let f1 = CommunityMetrics::micro(&predicted, &truth).f1;
-        if f1 > best.1 {
-            best = (gamma, f1);
-        }
-    }
-    (best.0, best.1.max(0.0))
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
-//! The offline model-training stage (§4.2) and the evaluation helpers of
-//! the online query stage.
+//! The offline model-training stage (§4.2) and the tape reference of the
+//! online query stage.
 //!
 //! Training minimizes the BCE loss (Eq. 3) over the training queries with
 //! Adam; gradients for the queries of a mini-batch are computed on
 //! crossbeam worker threads against shared `Arc` parameters and reduced
 //! in a fixed order, so runs are deterministic for a given seed and
-//! thread-independent. Periodically the trainer evaluates on the
-//! validation queries, sweeping the threshold γ, and keeps the
-//! best-performing weights/γ (the paper selects both on validation).
+//! thread-independent. Periodically the trainer scores the validation
+//! queries through the serving executor, sweeps the threshold γ, and
+//! keeps the best-performing weights/γ (the paper selects both on
+//! validation).
 
 use std::sync::Arc;
 
@@ -17,13 +18,14 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use qdgnn_data::Query;
+use qdgnn_graph::graph::Subgraph;
 use qdgnn_graph::{CommunityMetrics, VertexId};
 use qdgnn_nn::{positive_class_weights, Mode};
 use qdgnn_tensor::{Adam, AdamConfig, Dense, GradStore, Tape};
 
-use crate::identify::identify_community;
-use crate::inputs::{GraphTensors, QueryVectors};
-use crate::models::{predict_scores, CsModel};
+use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
+use crate::models::{predict_scores, predict_scores_batch, CsModel};
+use crate::serve::{identify_query, try_encode_query, OnlineStage};
 
 /// Training-stage hyper-parameters (§7.1.6 defaults).
 #[derive(Clone, Debug)]
@@ -206,8 +208,8 @@ fn epoch_order(len: usize, seed: u64, epoch: usize, recoveries: usize) -> Vec<us
 }
 
 /// The generic training loop shared by [`Trainer`] and the subgraph
-/// trainer: mini-batch Adam over `items`, with `validate` called
-/// periodically to produce `(γ, F1)` for checkpoint selection.
+/// trainer: mini-batch Adam over `items`, sweeping γ on `val`
+/// periodically to pick the checkpoint to keep.
 ///
 /// Fault tolerance (all bounded, all reported in [`TrainReport`]):
 /// * a batch whose loss or reduced gradients are non-finite is skipped,
@@ -220,19 +222,10 @@ fn epoch_order(len: usize, seed: u64, epoch: usize, recoveries: usize) -> Vec<us
 ///   state is written (atomically) every
 ///   [`TrainConfig::checkpoint_every`] epochs for crash-resume.
 pub(crate) fn run_training<M: CsModel>(
-    model: M,
-    items: &[TrainItem],
-    cfg: &TrainConfig,
-    validate: impl FnMut(&M) -> Option<(f32, f64)>,
-) -> TrainedModel<M> {
-    run_training_from(model, items, cfg, validate, None)
-}
-
-pub(crate) fn run_training_from<M: CsModel>(
     mut model: M,
     items: &[TrainItem],
     cfg: &TrainConfig,
-    mut validate: impl FnMut(&M) -> Option<(f32, f64)>,
+    val: &Validation<'_>,
     resume: Option<ResumeState>,
 ) -> TrainedModel<M> {
     assert!(!items.is_empty(), "training set must be non-empty");
@@ -398,7 +391,7 @@ pub(crate) fn run_training_from<M: CsModel>(
 
         let is_last = epoch + 1 == cfg.epochs;
         if is_last || (epoch + 1) % cfg.validate_every == 0 {
-            if let Some((gamma, f1)) = validate(&model) {
+            if let Some((gamma, f1)) = val.select_gamma(&model, &cfg.gamma_grid) {
                 val_history.push((epoch + 1, f1));
                 qdgnn_obs::event(
                     "train.validate",
@@ -508,14 +501,7 @@ impl Trainer {
     ) -> TrainedModel<M> {
         let items: Vec<TrainItem> =
             train.iter().map(|q| TrainItem::prepare(&model, tensors, q)).collect();
-        let gamma_grid = self.config.gamma_grid.clone();
-        run_training(model, &items, &self.config, |m| {
-            if val.is_empty() {
-                None
-            } else {
-                Some(select_gamma(m, tensors, val, &gamma_grid))
-            }
-        })
+        run_training(model, &items, &self.config, &Validation::whole_graph(tensors, val), None)
     }
 
     /// Continues a crashed or killed training run from the checkpoint a
@@ -544,20 +530,8 @@ impl Trainer {
         let state = crate::persist::load_train_checkpoint(path, &mut model)?;
         let items: Vec<TrainItem> =
             train.iter().map(|q| TrainItem::prepare(&model, tensors, q)).collect();
-        let gamma_grid = self.config.gamma_grid.clone();
-        Ok(run_training_from(
-            model,
-            &items,
-            &self.config,
-            |m| {
-                if val.is_empty() {
-                    None
-                } else {
-                    Some(select_gamma(m, tensors, val, &gamma_grid))
-                }
-            },
-            Some(state),
-        ))
+        let val = Validation::whole_graph(tensors, val);
+        Ok(run_training(model, &items, &self.config, &val, Some(state)))
     }
 
     /// The model-update mechanism sketched in the paper's conclusion: as
@@ -579,23 +553,15 @@ impl Trainer {
     ) -> TrainedModel<M> {
         let TrainedModel { model, gamma: old_gamma, report: old_report } = trained;
         let baseline_ckpt = model.checkpoint();
-        let baseline_f1 = if val.is_empty() {
-            0.0
-        } else {
-            evaluate(&model, tensors, val, old_gamma).f1
-        };
+        let validation = Validation::whole_graph(tensors, val);
+        // The baseline is the old weights' F1 at the old γ: a sweep over
+        // that one threshold.
+        let baseline_f1 = validation.select_gamma(&model, &[old_gamma]).map_or(0.0, |(_, f1)| f1);
         let all: Vec<Query> =
             original_queries.iter().chain(new_queries).cloned().collect();
         let items: Vec<TrainItem> =
             all.iter().map(|q| TrainItem::prepare(&model, tensors, q)).collect();
-        let gamma_grid = self.config.gamma_grid.clone();
-        let mut updated = run_training(model, &items, &self.config, |m| {
-            if val.is_empty() {
-                None
-            } else {
-                Some(select_gamma(m, tensors, val, &gamma_grid))
-            }
-        });
+        let mut updated = run_training(model, &items, &self.config, &validation, None);
         if !val.is_empty() && updated.report.best_val_f1 < baseline_f1 {
             // The update regressed: keep serving the original model.
             updated.model.restore(&baseline_ckpt);
@@ -650,11 +616,18 @@ fn sanitize_check_params(store: &qdgnn_tensor::ParamStore) {
     }
 }
 
-/// Encodes a query for `model` (attributes are dropped for models that
-/// cannot consume them, mirroring how QD-GNN handles EmA queries).
+/// Encodes a trusted query for `model` (training and validation data,
+/// whose ids were produced against this graph) through the serving
+/// encoder, which drops attributes for models that cannot consume them,
+/// as QD-GNN handles EmA queries.
+///
+/// # Panics
+/// Panics if the query is empty or an id is out of range.
 pub fn encode_query(model: &dyn CsModel, tensors: &GraphTensors, q: &Query) -> QueryVectors {
-    let attrs: &[u32] = if model.uses_attributes() { &q.attrs } else { &[] };
-    QueryVectors::encode(tensors.n, tensors.d, &q.vertices, attrs)
+    match try_encode_query(model, tensors, q) {
+        Ok(qv) => qv,
+        Err(e) => panic!("invalid training query: {e}"),
+    }
 }
 
 /// One-hot ground-truth community vector `y_q` (n×1).
@@ -666,89 +639,94 @@ pub fn target_vector(n: usize, truth: &[VertexId]) -> Dense {
     y
 }
 
-/// Predicts the community for one query with the full online pipeline
-/// (model inference + constrained BFS).
+/// The reference answer for one query: the eval-mode tape forward
+/// ([`predict_scores`]) followed by the constrained BFS. Nothing serves
+/// through it; [`OnlineStage`] must agree with it bit for bit, and tests
+/// and the benchmark's answer check use it as the oracle.
 pub fn predict_community(
     model: &dyn CsModel,
     tensors: &GraphTensors,
     q: &Query,
     gamma: f32,
 ) -> Vec<VertexId> {
-    let _query_span = qdgnn_obs::span!("serve.query");
-    qdgnn_obs::counter("serve.queries").inc();
-    let qv = {
-        let _s = qdgnn_obs::span!("serve.encode");
-        encode_query(model, tensors, q)
-    };
-    let scores = {
-        let _s = qdgnn_obs::span!("serve.forward");
-        predict_scores(model, tensors, &qv)
-    };
-    let attributed = model.uses_attributes() && !q.attrs.is_empty();
-    let community = {
-        let _s = qdgnn_obs::span!("serve.bfs");
-        identify_community(tensors, &q.vertices, &scores, gamma, attributed)
-    };
-    qdgnn_obs::observe("serve.community_size", community.len() as f64);
-    community
+    let scores = predict_scores(model, tensors, &encode_query(model, tensors, q));
+    identify_query(model, tensors, q, &scores, gamma)
 }
 
-/// Predicts communities for a whole query set.
-pub fn predict_communities(
-    model: &dyn CsModel,
-    tensors: &GraphTensors,
-    queries: &[Query],
-    gamma: f32,
-) -> Vec<Vec<VertexId>> {
-    queries.iter().map(|q| predict_community(model, tensors, q, gamma)).collect()
+/// A validation set in the graph contexts its queries are answered in:
+/// the whole graph for ordinary training, or one §7.4 candidate subgraph
+/// per query. Each context holds its queries in its own vertex ids and,
+/// for a candidate, the map back to global ids; the truth is global.
+pub(crate) struct Validation<'a> {
+    contexts: Vec<(&'a GraphTensors, &'a [Query], Option<&'a Subgraph>)>,
+    truth: Vec<Vec<VertexId>>,
 }
 
-/// Micro-averaged metrics of the full pipeline on a query set.
-pub fn evaluate(
-    model: &dyn CsModel,
-    tensors: &GraphTensors,
-    queries: &[Query],
-    gamma: f32,
-) -> CommunityMetrics {
-    let predicted = predict_communities(model, tensors, queries, gamma);
-    let truth: Vec<Vec<VertexId>> = queries.iter().map(|q| q.truth.clone()).collect();
-    CommunityMetrics::micro(&predicted, &truth)
-}
-
-/// Sweeps the γ grid on a query set and returns `(best_gamma, best_f1)`.
-///
-/// Model scores are computed once per query and reused across the grid.
-pub fn select_gamma(
-    model: &dyn CsModel,
-    tensors: &GraphTensors,
-    queries: &[Query],
-    grid: &[f32],
-) -> (f32, f64) {
-    let scored: Vec<(Vec<f32>, bool)> = queries
-        .iter()
-        .map(|q| {
-            let qv = encode_query(model, tensors, q);
-            let scores = predict_scores(model, tensors, &qv);
-            let attributed = model.uses_attributes() && !q.attrs.is_empty();
-            (scores, attributed)
-        })
-        .collect();
-    let truth: Vec<Vec<VertexId>> = queries.iter().map(|q| q.truth.clone()).collect();
-    let mut best = (grid.first().copied().unwrap_or(0.5), -1.0f64);
-    for &gamma in grid {
-        let predicted: Vec<Vec<VertexId>> = queries
-            .iter()
-            .zip(&scored)
-            .map(|(q, (scores, attributed))| {
-                identify_community(tensors, &q.vertices, scores, gamma, *attributed)
-            })
-            .collect();
-        let f1 = CommunityMetrics::micro(&predicted, &truth).f1;
-        if f1 > best.1 {
-            best = (gamma, f1);
+impl<'a> Validation<'a> {
+    /// Validation on the whole graph.
+    pub(crate) fn whole_graph(tensors: &'a GraphTensors, val: &'a [Query]) -> Self {
+        Validation {
+            contexts: vec![(tensors, val, None)],
+            truth: val.iter().map(|q| q.truth.clone()).collect(),
         }
     }
-    (best.0, best.1.max(0.0))
+
+    /// Validation on per-query contexts, each one query in local ids with
+    /// its map to global ids; `global` holds the same queries in global
+    /// ids, for the truth.
+    pub(crate) fn per_query(
+        contexts: impl IntoIterator<Item = (&'a GraphTensors, &'a Query, &'a Subgraph)>,
+        global: &[Query],
+    ) -> Self {
+        Validation {
+            contexts: contexts
+                .into_iter()
+                .map(|(t, q, map)| (t, std::slice::from_ref(q), Some(map)))
+                .collect(),
+            truth: global.iter().map(|q| q.truth.clone()).collect(),
+        }
+    }
+
+    /// Scores every query once through the serving executor (one Graph
+    /// Encoder cache per context, stacked chunks of
+    /// [`OnlineStage::EVAL_CHUNK`]), then sweeps `grid`: returns the first
+    /// γ with the best micro-F1 against the global truth, and that F1.
+    /// `None` for an empty set.
+    pub(crate) fn select_gamma(&self, model: &dyn CsModel, grid: &[f32]) -> Option<(f32, f64)> {
+        if self.truth.is_empty() {
+            return None;
+        }
+        let mut scored = Vec::with_capacity(self.truth.len());
+        for &(t, queries, map) in &self.contexts {
+            let cache = model.build_graph_cache(t).unwrap_or_default();
+            for chunk in queries.chunks(OnlineStage::EVAL_CHUNK) {
+                let vectors: Vec<QueryVectors> =
+                    chunk.iter().map(|q| encode_query(model, t, q)).collect();
+                let batch = QueryBatch::try_stack(&vectors)
+                    .expect("queries encoded against one graph stack");
+                let scores = predict_scores_batch(model, t, Some(&cache), &batch);
+                scored.extend(chunk.iter().zip(scores).map(|(q, s)| (t, q, map, s)));
+            }
+        }
+        let mut best = (grid.first().copied().unwrap_or(0.5), -1.0f64);
+        for &gamma in grid {
+            let predicted: Vec<Vec<VertexId>> = scored
+                .iter()
+                .map(|&(t, q, map, ref scores)| {
+                    let local = identify_query(model, t, q, scores, gamma);
+                    let Some(map) = map else { return local };
+                    let mut global = map.to_global(&local);
+                    global.sort_unstable();
+                    global
+                })
+                .collect();
+            let f1 = CommunityMetrics::micro(&predicted, &self.truth).f1;
+            if f1 > best.1 {
+                best = (gamma, f1);
+            }
+        }
+        Some((best.0, best.1.max(0.0)))
+    }
 }
 
 #[cfg(test)]
@@ -780,7 +758,7 @@ mod tests {
         let first = trained.report.loss_history[0];
         let last = *trained.report.loss_history.last().unwrap();
         assert!(last < first, "loss should decrease: {first} → {last}");
-        let metrics = evaluate(&trained.model, &t, &test, trained.gamma);
+        let metrics = OnlineStage::new(&trained.model, &t, trained.gamma).evaluate(&test);
         assert!(
             metrics.f1 > 0.5,
             "QD-GNN should learn toy communities, got F1={:.3}",
@@ -794,7 +772,7 @@ mod tests {
         let model = AqdGnn::new(ModelConfig::fast(), t.d);
         let trainer = Trainer::new(TrainConfig { epochs: 30, ..TrainConfig::fast() });
         let trained = trainer.train(model, &t, &train, &val);
-        let metrics = evaluate(&trained.model, &t, &test, trained.gamma);
+        let metrics = OnlineStage::new(&trained.model, &t, trained.gamma).evaluate(&test);
         assert!(
             metrics.f1 > 0.5,
             "AQD-GNN should learn toy communities, got F1={:.3}",
@@ -857,10 +835,10 @@ mod tests {
             &train[..10],
             &val,
         );
-        let f1_initial = evaluate(&initial.model, &t, &test, initial.gamma).f1;
+        let f1_initial = OnlineStage::new(&initial.model, &t, initial.gamma).evaluate(&test).f1;
         // New "historical" queries arrive; warm-start update.
         let updated = trainer.update(initial, &t, &train[..10], &train[10..], &val);
-        let f1_updated = evaluate(&updated.model, &t, &test, updated.gamma).f1;
+        let f1_updated = OnlineStage::new(&updated.model, &t, updated.gamma).evaluate(&test).f1;
         // The guard guarantees no regression on validation; on test we
         // allow slack but expect the update to roughly hold or improve.
         assert!(
@@ -882,7 +860,7 @@ mod tests {
         );
         let before = initial.model.store().snapshot();
         let before_gamma = initial.gamma;
-        let baseline_f1 = evaluate(&initial.model, &t, &val, initial.gamma).f1;
+        let baseline_f1 = OnlineStage::new(&initial.model, &t, initial.gamma).evaluate(&val).f1;
         // Destructive update: degenerate ground truth plus a huge learning
         // rate wreck the weights, so the update's validation F1 drops
         // below the baseline and the guard must restore the original.
@@ -894,7 +872,7 @@ mod tests {
         let bad_trainer =
             Trainer::new(TrainConfig { epochs: 6, lr: 0.8, ..TrainConfig::fast() });
         let updated = bad_trainer.update(initial, &t, &[], &poison, &val);
-        let after_f1 = evaluate(&updated.model, &t, &val, updated.gamma).f1;
+        let after_f1 = OnlineStage::new(&updated.model, &t, updated.gamma).evaluate(&val).f1;
         assert!(after_f1 + 1e-9 >= baseline_f1, "guard must prevent regression");
         assert_eq!(
             updated.report.best_val_f1, baseline_f1,
@@ -918,7 +896,8 @@ mod tests {
         let (t, train, ..) = toy_setup(AttrMode::Empty);
         let model = QdGnn::new(ModelConfig::fast(), t.d);
         let grid = [0.25, 0.5, 0.75];
-        let (gamma, f1) = select_gamma(&model, &t, &train[..5], &grid);
+        let (gamma, f1) =
+            Validation::whole_graph(&t, &train[..5]).select_gamma(&model, &grid).unwrap();
         assert!(grid.contains(&gamma));
         assert!((0.0..=1.0).contains(&f1));
     }

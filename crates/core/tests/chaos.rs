@@ -15,7 +15,7 @@ use qdgnn_core::inputs::GraphTensors;
 use qdgnn_core::models::QdGnn;
 use qdgnn_core::persist::{load_model, save_model};
 use qdgnn_core::serve::OnlineStage;
-use qdgnn_core::train::{evaluate, TrainConfig, Trainer};
+use qdgnn_core::train::{TrainConfig, Trainer};
 use qdgnn_core::QdgnnError;
 use qdgnn_data::{presets, queries as qgen, AttrMode, Query, QuerySplit};
 use qdgnn_graph::attributed::AdjNorm;
@@ -63,7 +63,7 @@ fn isolated_nan_steps_are_skipped_and_f1_stays_within_noise() {
         Trainer::new(cfg(16)).train(QdGnn::new(ModelConfig::fast(), t.d), &t, &train, &val);
     assert_eq!(clean.report.skipped_steps, 0);
     assert_eq!(clean.report.recoveries, 0);
-    let f1_clean = evaluate(&clean.model, &t, &test, clean.gamma).f1;
+    let f1_clean = OnlineStage::new(&clean.model, &t, clean.gamma).evaluate(&test).f1;
 
     // Poison two isolated mid-training steps (epochs 4 and 6).
     faultless::inject_at_step(4 * STEPS_PER_EPOCH + 3, GradFault::NanGrads);
@@ -74,7 +74,7 @@ fn isolated_nan_steps_are_skipped_and_f1_stays_within_noise() {
     assert_eq!(faulty.report.skipped_steps, 2, "each NaN step must be skipped, not applied");
     assert!(!faulty.report.diverged);
     assert_eq!(faulty.report.epochs_run, 16, "training must complete");
-    let f1_faulty = evaluate(&faulty.model, &t, &test, faulty.gamma).f1;
+    let f1_faulty = OnlineStage::new(&faulty.model, &t, faulty.gamma).evaluate(&test).f1;
     assert!(
         (f1_clean - f1_faulty).abs() <= 0.2,
         "skipping two steps must stay within noise: clean {f1_clean:.3} vs faulty {f1_faulty:.3}"
@@ -96,7 +96,7 @@ fn fully_poisoned_epoch_rolls_back_and_training_completes() {
     let report = {
         let trained =
             Trainer::new(cfg(16)).train(QdGnn::new(ModelConfig::fast(), t.d), &t, &train, &val);
-        let f1 = evaluate(&trained.model, &t, &test, trained.gamma).f1;
+        let f1 = OnlineStage::new(&trained.model, &t, trained.gamma).evaluate(&test).f1;
         assert!(f1 > 0.4, "recovered run should still learn toy communities, got {f1:.3}");
         trained.report
     };

@@ -127,7 +127,7 @@ fn sum_fusion_trains_end_to_end() {
         &split.train,
         &split.val,
     );
-    let m = qdgnn_core::train::evaluate(&trained.model, &t, &split.test, trained.gamma);
+    let m = qdgnn_core::OnlineStage::new(&trained.model, &t, trained.gamma).evaluate(&split.test);
     assert!(m.f1 > 0.0, "sum-fusion variant must still learn something");
 }
 

@@ -111,9 +111,10 @@ pub fn complexity_scaling(run: &RunConfig) -> ResultTable {
         .train(AqdGnn::new(mc, tensors.d), &tensors, &split.train, &[]);
         let epoch_s = t0.elapsed().as_secs_f64() / 3.0;
 
-        // Online query cost.
+        // Online query cost, through the served stage.
+        let stage = qdgnn_core::OnlineStage::new(&trained.model, &tensors, 0.5);
         let (query_ms, _) = harness::time_queries(&split.test, |q| {
-            qdgnn_core::train::predict_community(&trained.model, &tensors, q, 0.5)
+            stage.try_query(q).expect("generated queries are valid")
         });
 
         let edges = data.graph.graph().num_edges() + data.graph.bipartite_edge_count();

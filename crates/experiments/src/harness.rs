@@ -2,8 +2,8 @@
 //! wrappers, query timing.
 
 use qdgnn_core::models::{AqdGnn, QdGnn, SimpleQdGnn};
-use qdgnn_core::train::{predict_communities, TrainedModel, Trainer};
-use qdgnn_core::{CsModel, GraphTensors};
+use qdgnn_core::train::{TrainedModel, Trainer};
+use qdgnn_core::{CsModel, GraphTensors, OnlineStage};
 use qdgnn_data::queries::{generate_bases, materialize, QueryBase};
 use qdgnn_data::{AttrMode, Dataset, Query, QuerySplit};
 use qdgnn_graph::{CommunityMetrics, VertexId};
@@ -80,15 +80,14 @@ pub fn train_aqd(ctx: &DatasetContext, run: &RunConfig, split: &QuerySplit) -> T
     )
 }
 
-/// Test-set micro-F1 of a trained model through the full online pipeline.
+/// Test-set micro-F1 of a trained model through the served online stage.
 pub fn model_test_f1(
     model: &dyn CsModel,
     tensors: &GraphTensors,
     test: &[Query],
     gamma: f32,
 ) -> f64 {
-    let predicted = predict_communities(model, tensors, test, gamma);
-    micro_f1(&predicted, test)
+    OnlineStage::new(model, tensors, gamma).evaluate(test).f1
 }
 
 /// Micro-F1 of arbitrary predictions against the queries' ground truth.

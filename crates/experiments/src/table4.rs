@@ -115,6 +115,7 @@ pub fn run(run: &RunConfig) -> ResultTable {
         let train_s = t0.elapsed().as_secs_f64();
         let (aqd_ms, _) = harness::time_queries(&split.test, |q| {
             predict_community_subgraph(&trained.model, &dataset.graph, q, trained.gamma, &sub_cfg)
+                .expect("generated queries are valid")
         });
         let f1 = evaluate_subgraph(
             &trained.model,

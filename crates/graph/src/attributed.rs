@@ -208,11 +208,6 @@ impl AttributedGraph {
         FusionGraph { graph: self, attr_cap }
     }
 
-    /// Number of attributes shared between vertex `v`'s set and `query`.
-    pub fn shared_attr_count(&self, v: VertexId, query: &[AttrId]) -> usize {
-        query.iter().filter(|&&a| self.has_attr(v, a)).count()
-    }
-
     /// The `k` most frequent attributes among `vertices` (ties broken by
     /// attribute id, ascending) — used to build AFC/AFN query attributes.
     pub fn most_common_attrs(&self, vertices: &[VertexId], k: usize) -> Vec<AttrId> {

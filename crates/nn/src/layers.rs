@@ -1,5 +1,4 @@
-//! Layers: linear projection, batch normalization over the vertex
-//! dimension, and dropout.
+//! Layers: batch normalization over the vertex dimension, and dropout.
 
 use std::sync::Arc;
 
@@ -15,63 +14,6 @@ pub enum Mode {
     Train,
     /// Inference: batch-norm uses running statistics, dropout is identity.
     Eval,
-}
-
-/// A dense affine layer `y = x·W (+ b)`.
-#[derive(Clone, Debug)]
-pub struct Linear {
-    weight: ParamId,
-    bias: Option<ParamId>,
-    in_dim: usize,
-    out_dim: usize,
-}
-
-impl Linear {
-    /// Registers a Xavier-initialized `in_dim × out_dim` weight (and a zero
-    /// bias when `with_bias`) under `name` in `store`.
-    pub fn new(
-        store: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        with_bias: bool,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let weight = store.xavier(format!("{name}.weight"), in_dim, out_dim, rng);
-        let bias = with_bias.then(|| store.zeros(format!("{name}.bias"), 1, out_dim));
-        Linear { weight, bias, in_dim, out_dim }
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// The weight parameter id.
-    pub fn weight_id(&self) -> ParamId {
-        self.weight
-    }
-
-    /// Records `x·W (+ b)` on the tape; returns the output and the tape
-    /// leaf holding the weight (callers map leaves back to parameters when
-    /// extracting gradients).
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> (Var, Vec<(Var, ParamId)>) {
-        let mut leaves = Vec::with_capacity(2);
-        let w = tape.leaf(Arc::clone(store.value(self.weight)));
-        leaves.push((w, self.weight));
-        let mut y = tape.matmul(x, w);
-        if let Some(bias) = self.bias {
-            let b = tape.leaf(Arc::clone(store.value(bias)));
-            leaves.push((b, bias));
-            y = tape.add_row(y, b);
-        }
-        (y, leaves)
-    }
 }
 
 /// Batch statistics produced by a train-mode [`BatchNorm1d`] forward pass,
@@ -251,20 +193,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn linear_forward_shape_and_bias() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut store = ParamStore::new();
-        let lin = Linear::new(&mut store, "l", 3, 2, true, &mut rng);
-        let mut tape = Tape::new();
-        let x = tape.constant(Dense::zeros(4, 3));
-        let (y, leaves) = lin.forward(&mut tape, &store, x);
-        assert_eq!(tape.shape(y), (4, 2));
-        assert_eq!(leaves.len(), 2);
-        // Zero input → output equals the (zero) bias.
-        assert!(tape.value(y).approx_eq(&Dense::zeros(4, 2), 0.0));
-    }
 
     #[test]
     fn batchnorm_train_normalizes_columns() {

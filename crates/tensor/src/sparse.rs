@@ -133,33 +133,6 @@ impl Csr {
         Csr::tracked(rows, cols, indptr, indices, values)
     }
 
-    /// Builds a CSR matrix directly from raw components.
-    ///
-    /// # Panics
-    /// Panics if the component lengths are inconsistent or column indices
-    /// are out of range or unsorted within a row.
-    pub fn from_raw(
-        rows: usize,
-        cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Self {
-        assert_eq!(indptr.len(), rows + 1, "indptr length");
-        assert_eq!(indices.len(), values.len(), "indices/values length");
-        assert_eq!(*indptr.last().unwrap_or(&0), indices.len(), "indptr terminator");
-        for r in 0..rows {
-            let row = &indices[indptr[r]..indptr[r + 1]];
-            for w in row.windows(2) {
-                assert!(w[0] < w[1], "row {r} columns not strictly increasing");
-            }
-            if let Some(&last) = row.last() {
-                assert!((last as usize) < cols, "column index out of range in row {r}");
-            }
-        }
-        Csr::tracked(rows, cols, indptr, indices, values)
-    }
-
     /// A sparse identity matrix.
     pub fn identity(n: usize) -> Self {
         Csr::tracked(n, n, (0..=n).collect(), (0..n as u32).collect(), vec![1.0; n])

@@ -49,7 +49,7 @@ fn main() {
             &split.train,
             &split.val,
         );
-        let m = evaluate(&trained.model, &tensors, &split.test, trained.gamma);
+        let m = OnlineStage::new(&trained.model, &tensors, trained.gamma).evaluate(&split.test);
         println!(
             "  AQD-GNN   F1 {:.3}  (precision {:.3}, recall {:.3})  γ={:.2}",
             m.f1, m.precision, m.recall, trained.gamma

@@ -69,7 +69,8 @@ fn main() {
     let q = &split.test[0];
     let t0 = Instant::now();
     let community =
-        predict_community_subgraph(&trained.model, &data.graph, q, trained.gamma, &sub_cfg);
+        predict_community_subgraph(&trained.model, &data.graph, q, trained.gamma, &sub_cfg)
+            .expect("test query is valid");
     println!(
         "query {:?} → {} vertices in {:.2} ms",
         q.vertices,

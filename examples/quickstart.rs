@@ -32,10 +32,12 @@ fn main() {
         trained.report.train_seconds, trained.report.best_val_f1, trained.gamma
     );
 
-    // 5. Online query stage (§4.3): one inference pass + constrained BFS.
+    // 5. Online query stage (§4.3): the Graph Encoder is cached once;
+    //    each query costs one inference pass + constrained BFS.
+    let stage = OnlineStage::new(&trained.model, &tensors, trained.gamma);
     let query = &split.test[0];
     let t0 = std::time::Instant::now();
-    let community = predict_community(&trained.model, &tensors, query, trained.gamma);
+    let community = stage.try_query(query).expect("test query is valid");
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     println!(
         "query {:?} → community of {} vertices in {ms:.2} ms (truth: {})",
@@ -45,7 +47,7 @@ fn main() {
     );
 
     // 6. Evaluate on the whole held-out test set.
-    let metrics = evaluate(&trained.model, &tensors, &split.test, trained.gamma);
+    let metrics = stage.evaluate(&split.test);
     println!(
         "test micro metrics: precision {:.3}  recall {:.3}  F1 {:.3}",
         metrics.precision, metrics.recall, metrics.f1

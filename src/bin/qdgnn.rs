@@ -225,6 +225,26 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads `--queries` and checks every query against the graph once, so a
+/// malformed query file is an error naming the query, not a panic
+/// part-way through training or evaluation.
+fn load_queries(opts: &Options, data: &Dataset) -> Result<Vec<Query>, String> {
+    let path = opts.required("queries")?;
+    let queries = io::load_queries(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let (n, d) = (data.graph.num_vertices(), data.graph.num_attrs());
+    for (i, q) in queries.iter().enumerate() {
+        let problem = match QueryVectors::try_encode(n, d, &q.vertices, &q.attrs) {
+            Err(e) => e.to_string(),
+            Ok(_) => match q.truth.iter().find(|&&v| v as usize >= n) {
+                Some(v) => format!("ground-truth vertex {v} out of range (graph has {n} vertices)"),
+                None => continue,
+            },
+        };
+        return Err(format!("{path}: query {} (line {}) is invalid: {problem}", i + 1, i + 2));
+    }
+    Ok(queries)
+}
+
 /// Everything `train` and `resume` share: dataset, split, tensors, a
 /// freshly built model and the training configuration.
 struct TrainSetup {
@@ -237,7 +257,7 @@ struct TrainSetup {
 
 fn train_setup(opts: &Options) -> Result<TrainSetup, String> {
     let data = io::load_dataset(opts.required("data")?).map_err(|e| e.to_string())?;
-    let queries = io::load_queries(opts.required("queries")?).map_err(|e| e.to_string())?;
+    let queries = load_queries(opts, &data)?;
     let (train, val, test) = split_spec(opts, queries.len())?;
     let split = QuerySplit::new(queries, train, val, test);
     let config = model_config(opts)?;
@@ -278,7 +298,7 @@ fn finish_training(
     let out = opts.required("out")?;
     save_model(out, trained.model.as_ref(), trained.gamma).map_err(|e| e.to_string())?;
     println!("wrote {out}");
-    let metrics = evaluate(trained.model.as_ref(), tensors, test, trained.gamma);
+    let metrics = OnlineStage::new(trained.model.as_ref(), tensors, trained.gamma).evaluate(test);
     println!(
         "held-out test: precision {:.3}  recall {:.3}  F1 {:.3}",
         metrics.precision, metrics.recall, metrics.f1
@@ -356,11 +376,11 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
 
 fn cmd_evaluate(opts: &Options) -> Result<(), String> {
     let data = io::load_dataset(opts.required("data")?).map_err(|e| e.to_string())?;
-    let queries = io::load_queries(opts.required("queries")?).map_err(|e| e.to_string())?;
+    let queries = load_queries(opts, &data)?;
     let (train, val, test) = split_spec(opts, queries.len())?;
     let split = QuerySplit::new(queries, train, val, test);
     let (model, tensors, gamma) = load_trained(opts, &data)?;
-    let metrics = evaluate(model.as_ref(), &tensors, &split.test, gamma);
+    let metrics = OnlineStage::new(model.as_ref(), &tensors, gamma).evaluate(&split.test);
     println!(
         "{} on {} ({} test queries, γ={gamma:.2}): precision {:.3}  recall {:.3}  F1 {:.3}",
         model.name(),

@@ -33,9 +33,13 @@
 //! let trainer = Trainer::new(TrainConfig { epochs: 5, ..TrainConfig::fast() });
 //! let trained = trainer.train(model, &tensors, &split.train, &split.val);
 //!
-//! // Online: answer queries with one inference pass + constrained BFS.
-//! let community = predict_community(&trained.model, &tensors, &split.test[0], trained.gamma);
+//! // Online: the Graph Encoder is cached once; each query costs one
+//! // query-branch inference pass plus a constrained BFS.
+//! let stage = OnlineStage::new(&trained.model, &tensors, trained.gamma);
+//! let community = stage.try_query(&split.test[0]).expect("test query is valid");
 //! assert!(!community.is_empty());
+//! let metrics = stage.evaluate(&split.test);
+//! assert!((0.0..=1.0).contains(&metrics.f1));
 //! ```
 //!
 //! ## Crate map
@@ -76,8 +80,7 @@ pub mod prelude {
     pub use qdgnn_core::serve::OnlineStage;
     pub use qdgnn_core::subgraph::{SubgraphConfig, SubgraphTrainer};
     pub use qdgnn_core::train::{
-        evaluate, predict_communities, predict_community, select_gamma, TrainConfig,
-        TrainReport, TrainedModel, Trainer,
+        predict_community, TrainConfig, TrainReport, TrainedModel, Trainer,
     };
     pub use qdgnn_data::{AttrMode, Dataset, GeneratorConfig, Query, QuerySplit};
     pub use qdgnn_graph::{AttributedGraph, CommunityMetrics, Graph, VertexId};

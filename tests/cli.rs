@@ -132,3 +132,63 @@ fn cli_usage_on_bad_input() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
+
+/// A query file whose last (test) query names vertex 99999 of a
+/// 47-vertex graph is rejected up front by `train` and `evaluate`: a
+/// non-zero exit with a message naming the query, never a panic.
+#[test]
+fn cli_rejects_malformed_query_file_without_panicking() {
+    let dir = workdir();
+    let data = dir.join("bad.txt");
+    let queries = dir.join("bad_q.txt");
+    let model = dir.join("bad.model");
+    assert!(bin()
+        .args(["generate", "--preset", "toy", "--out"])
+        .arg(&data)
+        .arg("--queries")
+        .arg(&queries)
+        .args(["--count", "40"])
+        .status()
+        .unwrap()
+        .success());
+    let good = std::fs::read_to_string(&queries).unwrap();
+    let train = |queries: &PathBuf| {
+        bin()
+            .args(["train", "--data"])
+            .arg(&data)
+            .arg("--queries")
+            .arg(queries)
+            .args(["--model", "qd", "--epochs", "2", "--hidden", "16", "--split", "20,10,10"])
+            .arg("--out")
+            .arg(&model)
+            .output()
+            .unwrap()
+    };
+    assert!(train(&queries).status.success());
+
+    // Query 40 (file line 41) gets vertex 99999 in place of its first.
+    let mut lines: Vec<String> = good.lines().map(str::to_string).collect();
+    let last = lines.pop().unwrap();
+    let rest = last.split_once([' ', '|']).unwrap().1;
+    lines.push(format!("99999 {rest}"));
+    let bad = dir.join("bad_q_edited.txt");
+    std::fs::write(&bad, lines.join("\n") + "\n").unwrap();
+
+    let evaluate = bin()
+        .args(["evaluate", "--data"])
+        .arg(&data)
+        .arg("--queries")
+        .arg(&bad)
+        .arg("--model-file")
+        .arg(&model)
+        .args(["--model", "qd", "--hidden", "16", "--split", "20,10,10"])
+        .output()
+        .unwrap();
+    for (what, out) in [("train", train(&bad)), ("evaluate", evaluate)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what} panicked: {stderr}");
+        assert!(stderr.contains("query 40 (line 41)"), "{what}: {stderr}");
+        assert!(stderr.contains("99999"), "{what}: {stderr}");
+    }
+}

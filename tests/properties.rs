@@ -23,6 +23,41 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn bounded_candidate_bfs_matches_the_whole_graph_definition(
+        n in 1u32..40,
+        raw_edges in proptest::collection::vec((0u32..40, 0u32..40), 0..80),
+        raw_sources in proptest::collection::vec(0u32..40, 1..6),
+        max_size in 0usize..50,
+    ) {
+        let edges: Vec<(VertexId, VertexId)> =
+            raw_edges.iter().map(|&(u, v)| (u % n, v % n)).collect();
+        let graph = Graph::from_edges(n as usize, &edges);
+        let sources: Vec<VertexId> = raw_sources.iter().map(|&s| s % n).collect();
+        prop_assert_eq!(
+            qdgnn::core::interactive::candidate_by_bfs(&graph, &sources, max_size),
+            whole_graph_candidate(&graph, &sources, max_size)
+        );
+    }
+}
+
+/// `candidate_by_bfs` by its definition: BFS distances over the whole
+/// graph, every reached vertex sorted by (distance, id), the first
+/// `max(max_size, |sources|)` kept, sorted by id.
+fn whole_graph_candidate(graph: &Graph, sources: &[VertexId], max_size: usize) -> Vec<VertexId> {
+    let dist = qdgnn::graph::traversal::bfs_distances(graph, sources, usize::MAX);
+    let mut reached: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
+        .filter(|&v| dist[v as usize] != usize::MAX)
+        .collect();
+    reached.sort_by_key(|&v| (dist[v as usize], v));
+    reached.truncate(max_size.max(sources.len()));
+    reached.sort_unstable();
+    reached
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]

@@ -87,7 +87,7 @@ fn attention_fusion_trains_through_public_api() {
         &split.train,
         &split.val,
     );
-    let m = evaluate(&trained.model, &tensors, &split.test, trained.gamma);
+    let m = OnlineStage::new(&trained.model, &tensors, trained.gamma).evaluate(&split.test);
     assert!(m.f1 > 0.4, "attention fusion should learn toy data, F1={:.3}", m.f1);
 }
 
