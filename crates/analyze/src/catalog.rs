@@ -1,14 +1,14 @@
-//! The machine-readable lint catalog.
+//! The lint catalog.
 //!
 //! Every rule the engine enforces is described here: id, one-line
-//! summary, rationale, the paths it is enforced on, and the suppression
-//! syntax. `qdgnn-analyze --catalog` serialises this table as JSON so
-//! external tooling (CI annotations, editors) can consume it without
-//! parsing Rust.
+//! summary, rationale, the paths it is enforced on, and whether a
+//! `// qdgnn-analyze: allow(ID, reason = "…")` comment may suppress it.
+//! `qdgnn-analyze --self-check` asserts that this table and the
+//! implemented rules agree.
 
 /// Static description of one lint rule.
 pub struct Rule {
-    /// Stable identifier, e.g. `QD001`.
+    /// Stable identifier, e.g. `QD002`.
     pub id: &'static str,
     /// One-line summary.
     pub summary: &'static str,
@@ -32,32 +32,14 @@ pub const RULES: &[Rule] = &[
         suppressible: false,
     },
     Rule {
-        id: "QD001",
-        summary: "no unwrap/expect/panic!/unreachable!/direct indexing on \
-                  serving and persistence paths",
-        rationale: "The online query path (QD-GNN/AQD-GNN serving split) must \
-                    degrade via typed QdgnnError, never abort: a panic in \
-                    serve/persist/inputs/identify takes down every in-flight \
-                    query. Model forward passes (crates/core/src/models/*) get \
-                    the panic-family subset; structural indexing there is \
-                    bounded by construction.",
-        enforced_paths: &[
-            "crates/core/src/serve.rs",
-            "crates/core/src/persist.rs",
-            "crates/core/src/inputs.rs",
-            "crates/core/src/identify.rs",
-            "crates/core/src/models/",
-            "crates/serve/src/",
-        ],
-        suppressible: true,
-    },
-    Rule {
         id: "QD002",
         summary: "no f32 == / != comparisons",
         rationale: "Exact float equality silently breaks under reordered \
                     accumulation (parallel matmul tiles) and resume replay; \
                     use tolerances, or suppress with a reason where exact \
-                    sentinel values (0.0 sparsity skips) are intended.",
+                    sentinel values (0.0 sparsity skips) are intended. Not \
+                    clippy::float_cmp: that lint exempts comparisons with \
+                    zero, the case this rule exists for, and flags tests.",
         enforced_paths: &[],
         suppressible: true,
     },
@@ -73,20 +55,6 @@ pub const RULES: &[Rule] = &[
         suppressible: true,
     },
     Rule {
-        id: "QD004",
-        summary: "no wall-clock or time-seeded RNG on resume-deterministic paths",
-        rationale: "Crash-resume is bit-identical only if training replays the \
-                    same arithmetic; SystemTime::now / from_entropy / \
-                    thread_rng in train.rs or tape.rs breaks the guarantee. \
-                    Instant::now cannot break replay, so it is QD007's \
-                    problem (injectable wall clock), not QD004's.",
-        enforced_paths: &[
-            "crates/core/src/train.rs",
-            "crates/tensor/src/tape.rs",
-        ],
-        suppressible: true,
-    },
-    Rule {
         id: "QD005",
         summary: "no nested lock acquisitions or locks held across thread joins",
         rationale: "The parallel trainer and matmul tiles use scoped threads; \
@@ -98,42 +66,6 @@ pub const RULES: &[Rule] = &[
             "crates/tensor/src/dense.rs",
             "crates/tensor/src/sparse.rs",
             "crates/tensor/src/kernel.rs",
-        ],
-        suppressible: true,
-    },
-    Rule {
-        id: "QD006",
-        summary: "no println!/eprintln!/print!/eprint!/dbg! in library code",
-        rationale: "The library crates are linked into servers and harnesses \
-                    that own stdout/stderr; ad-hoc prints corrupt their output \
-                    and vanish from structured logs. Diagnostics must flow \
-                    through qdgnn-obs events/counters (e.g. the \
-                    train.checkpoint_write_failures counter) or typed errors. \
-                    Test modules are exempt.",
-        enforced_paths: &[
-            "crates/core/src/",
-            "crates/tensor/src/",
-            "crates/nn/src/",
-            "crates/graph/src/",
-        ],
-        suppressible: true,
-    },
-    Rule {
-        id: "QD007",
-        summary: "no raw Instant::now() in library code",
-        rationale: "Wall timing reported by the library (train_seconds, \
-                    interactive seconds_per_round, query timing) must read \
-                    the injectable qdgnn-obs wall clock \
-                    (qdgnn_obs::clock::wall_micros) so fake-clock tests can \
-                    pin every duration; a raw Instant::now() call is \
-                    untestable dead time. The obs crate's MonotonicClock is \
-                    the one sanctioned caller and is exempt by path. Test \
-                    modules are exempt.",
-        enforced_paths: &[
-            "crates/core/src/",
-            "crates/tensor/src/",
-            "crates/nn/src/",
-            "crates/graph/src/",
         ],
         suppressible: true,
     },
@@ -156,8 +88,8 @@ pub const RULES: &[Rule] = &[
         id: "QD009",
         summary: "no panic reachable from a serving entry point through any \
                   call chain",
-        rationale: "QD001 stops at the function boundary; a serving-path \
-                    entry point (any qdgnn-serve function, OnlineStage::try_*, \
+        rationale: "Clippy's panic lints stop at the function boundary; a \
+                    serving-path entry point (any qdgnn-serve function, OnlineStage::try_*, \
                     predict_scores_batch) that calls a helper which unwraps \
                     two crates away still aborts the whole engine. The \
                     interprocedural pass walks the workspace call graph and \
@@ -230,55 +162,6 @@ pub fn rule(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// Serialises the catalog as JSON (hand-rolled; no serde in this crate).
-pub fn catalog_json() -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in RULES.iter().enumerate() {
-        out.push_str("  {\n");
-        out.push_str(&format!("    \"id\": {},\n", json_str(r.id)));
-        out.push_str(&format!("    \"summary\": {},\n", json_str(r.summary)));
-        out.push_str(&format!("    \"rationale\": {},\n", json_str(r.rationale)));
-        out.push_str("    \"enforced_paths\": [");
-        for (j, p) in r.enforced_paths.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(p));
-        }
-        out.push_str("],\n");
-        out.push_str(&format!("    \"suppressible\": {},\n", r.suppressible));
-        out.push_str(&format!(
-            "    \"suppression_syntax\": {}\n",
-            json_str(&format!(
-                "// qdgnn-analyze: allow({}, reason = \"…\")",
-                r.id
-            ))
-        ));
-        out.push_str(if i + 1 == RULES.len() { "  }\n" } else { "  },\n" });
-    }
-    out.push(']');
-    out
-}
-
-/// Minimal JSON string escaping.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,17 +173,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(ids, sorted);
-    }
-
-    #[test]
-    fn catalog_json_is_balanced() {
-        let j = catalog_json();
-        assert!(j.starts_with('[') && j.ends_with(']'));
-        assert_eq!(j.matches('{').count(), RULES.len());
-        assert_eq!(j.matches('}').count(), RULES.len());
-        for r in RULES {
-            assert!(j.contains(r.id));
-        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub struct Tok {
 /// directly above it.
 #[derive(Clone, Debug)]
 pub struct Suppression {
-    /// Rule id being suppressed, e.g. `QD001`.
+    /// Rule id being suppressed, e.g. `QD002`.
     pub rule: String,
     /// 1-based line of the comment.
     pub line: u32,
@@ -630,13 +630,13 @@ fn live2() { z.unwrap(); }
     #[test]
     fn suppressions_parse_with_and_without_reason() {
         let src = "
-let a = x.unwrap(); // qdgnn-analyze: allow(QD001, reason = \"bounded by construction\")
+let a = x.unwrap(); // qdgnn-analyze: allow(QD009, reason = \"bounded by construction\")
 // qdgnn-analyze: allow(QD002)
 let b = y;
 ";
         let sf = SourceFile::scan("x.rs", src);
         assert_eq!(sf.suppressions.len(), 2);
-        assert_eq!(sf.suppressions[0].rule, "QD001");
+        assert_eq!(sf.suppressions[0].rule, "QD009");
         assert_eq!(sf.suppressions[0].reason.as_deref(), Some("bounded by construction"));
         assert_eq!(sf.suppressions[1].rule, "QD002");
         assert!(sf.suppressions[1].reason.is_none());
@@ -644,7 +644,7 @@ let b = y;
 
     #[test]
     fn doc_comments_do_not_register_suppressions() {
-        let src = "/// like `// qdgnn-analyze: allow(QD001, reason = \"x\")`\n//! allow(QD002)\nfn f() {}\n";
+        let src = "/// like `// qdgnn-analyze: allow(QD009, reason = \"x\")`\n//! allow(QD002)\nfn f() {}\n";
         let sf = SourceFile::scan("x.rs", src);
         assert!(sf.suppressions.is_empty(), "{:?}", sf.suppressions);
     }

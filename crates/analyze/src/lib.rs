@@ -1,12 +1,16 @@
 //! `qdgnn-analyze`: repo-specific static analysis for the qdgnn
 //! workspace.
 //!
-//! A from-scratch, dependency-free lint engine: [`lexer`] scans Rust
-//! sources (comment/string-aware, brace-tracking, `#[cfg(test)]`
-//! detection), [`rules`] implements the QD001–QD013 checks, and
-//! [`catalog`] describes them machine-readably. This module wires the
-//! pieces together: filesystem walking, suppression handling, and
-//! deterministic ordering of findings.
+//! A from-scratch, dependency-free lint engine for the invariants clippy
+//! cannot express: float-equality sentinels, finite-difference coverage
+//! of tape ops, lock and blocking discipline, panic reachability through
+//! call chains, and the metric-name catalog. The serving-path panic ban,
+//! the library print ban and the wall-clock ban are clippy lints
+//! (DESIGN.md §6). [`lexer`] scans Rust sources (comment/string-aware,
+//! brace-tracking, `#[cfg(test)]` detection), [`rules`] implements the
+//! checks, and [`catalog`] describes them. This module wires the pieces
+//! together: filesystem walking, suppression handling, and deterministic
+//! ordering of findings.
 
 pub mod callgraph;
 pub mod catalog;
@@ -190,25 +194,6 @@ pub fn analyze_root(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(analyze_sources(&collect_sources(root)?))
 }
 
-/// Renders findings as JSON (for `--json`).
-pub fn findings_json(findings: &[Finding]) -> String {
-    use catalog::json_str;
-    let mut out = String::from("[\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \"snippet\": {}}}{}\n",
-            json_str(f.rule),
-            json_str(&f.path),
-            f.line,
-            json_str(&f.message),
-            json_str(&f.snippet),
-            if i + 1 == findings.len() { "" } else { "," }
-        ));
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,9 +201,9 @@ mod tests {
     #[test]
     fn suppression_with_reason_silences_finding() {
         let src = "
-fn f(x: Option<u32>) -> u32 {
-    // qdgnn-analyze: allow(QD001, reason = \"startup only, config validated at load\")
-    x.unwrap()
+fn f(x: f32) -> bool {
+    // qdgnn-analyze: allow(QD002, reason = \"exact-zero sentinel, never the result of arithmetic\")
+    x == 0.0
 }
 ";
         let files = vec![SourceFile::scan("crates/core/src/serve.rs", src)];
@@ -227,7 +212,7 @@ fn f(x: Option<u32>) -> u32 {
 
     #[test]
     fn suppression_without_reason_yields_qd000() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // qdgnn-analyze: allow(QD001)\n}\n";
+        let src = "fn f(x: f32) -> bool {\n    x == 0.0 // qdgnn-analyze: allow(QD002)\n}\n";
         let files = vec![SourceFile::scan("crates/core/src/serve.rs", src)];
         let f = analyze_sources(&files);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -236,17 +221,17 @@ fn f(x: Option<u32>) -> u32 {
 
     #[test]
     fn suppression_for_other_rule_does_not_silence() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    // qdgnn-analyze: allow(QD002, reason = \"n/a\")\n    x.unwrap()\n}\n";
+        let src = "fn f(x: f32) -> bool {\n    // qdgnn-analyze: allow(QD008, reason = \"n/a\")\n    x == 0.0\n}\n";
         let files = vec![SourceFile::scan("crates/core/src/serve.rs", src)];
         let f = analyze_sources(&files);
-        assert!(f.iter().any(|f| f.rule == "QD001"), "{f:?}");
+        assert!(f.iter().any(|f| f.rule == "QD002"), "{f:?}");
     }
 
     #[test]
     fn findings_are_sorted_by_path_line_rule() {
         let a = SourceFile::scan(
-            "crates/core/src/serve.rs",
-            "fn f(x: Option<u32>) { x.unwrap(); panic!(\"b\"); }\n",
+            "crates/serve/src/engine.rs",
+            "fn f(rx: &Receiver<u8>, x: f32) { rx.recv(); let _ = x != 1.0; }\n",
         );
         let b = SourceFile::scan(
             "crates/core/src/inputs.rs",
@@ -265,7 +250,7 @@ fn f(x: Option<u32>) -> u32 {
     fn qd012_stale_suppression_is_reported() {
         let src = "
 fn f(x: u32) -> u32 {
-    // qdgnn-analyze: allow(QD001, reason = \"was an unwrap once, burned down\")
+    // qdgnn-analyze: allow(QD002, reason = \"was a float sentinel once, burned down\")
     x + 1
 }
 ";
@@ -280,9 +265,9 @@ fn f(x: u32) -> u32 {
     #[test]
     fn qd012_not_reported_when_suppression_still_matches() {
         let src = "
-fn f(x: Option<u32>) -> u32 {
-    // qdgnn-analyze: allow(QD001, reason = \"startup only\")
-    x.unwrap()
+fn f(x: f32) -> bool {
+    // qdgnn-analyze: allow(QD002, reason = \"exact-zero sentinel\")
+    x == 0.0
 }
 ";
         let files = vec![SourceFile::scan("crates/core/src/serve.rs", src)];
@@ -293,8 +278,8 @@ fn f(x: Option<u32>) -> u32 {
     fn qd012_can_itself_be_suppressed_for_deliberate_keeps() {
         let src = "
 fn f(x: u32) -> u32 {
-    // qdgnn-analyze: allow(QD012, reason = \"unwrap only exists with feature X\")
-    // qdgnn-analyze: allow(QD001, reason = \"feature-gated unwrap below\")
+    // qdgnn-analyze: allow(QD012, reason = \"comparison only exists with feature X\")
+    // qdgnn-analyze: allow(QD002, reason = \"feature-gated comparison below\")
     x + 1
 }
 ";
@@ -327,16 +312,5 @@ fn score(q: Query) -> f32 {
         assert!(loud.iter().any(|f| f.rule == "QD009"), "{loud:?}");
         let quiet = analyze_sources(&[serve(), core]);
         assert!(quiet.is_empty(), "{quiet:?}");
-    }
-
-    #[test]
-    fn findings_json_is_wellformed() {
-        let files = vec![SourceFile::scan(
-            "crates/core/src/serve.rs",
-            "fn f(x: Option<u32>) { x.unwrap(); }\n",
-        )];
-        let j = findings_json(&analyze_sources(&files));
-        assert!(j.contains("\"QD001\""));
-        assert!(j.starts_with('[') && j.ends_with(']'));
     }
 }

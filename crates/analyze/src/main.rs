@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use qdgnn_analyze::{analyze_sources, catalog, collect_sources, findings_json, rules};
+use qdgnn_analyze::{analyze_sources, catalog, collect_sources, rules};
 
 const USAGE: &str = "\
 qdgnn-analyze — repo-specific static analysis for the qdgnn workspace
@@ -16,8 +16,6 @@ USAGE:
 
 OPTIONS:
     --deny          exit non-zero if any finding is reported (CI gate)
-    --json          print findings as JSON instead of text
-    --catalog       print the machine-readable rule catalog as JSON and exit
     --self-check    verify the catalog and the implemented rules agree, then exit
     --root <PATH>   workspace root to scan (default: auto-detected from cwd)
     -h, --help      show this help
@@ -25,8 +23,6 @@ OPTIONS:
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut json = false;
-    let mut show_catalog = false;
     let mut self_check = false;
     let mut root: Option<PathBuf> = None;
 
@@ -34,8 +30,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--json" => json = true,
-            "--catalog" => show_catalog = true,
             "--self-check" => self_check = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
@@ -53,11 +47,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-
-    if show_catalog {
-        println!("{}", catalog::catalog_json());
-        return ExitCode::SUCCESS;
     }
 
     if self_check {
@@ -90,14 +79,10 @@ fn main() -> ExitCode {
     }
     let findings = analyze_sources(&files);
 
-    if json {
-        println!("{}", findings_json(&findings));
-    } else {
-        for f in &findings {
-            println!("{} {}:{}: {}", f.rule, f.path, f.line, f.message);
-            if !f.snippet.is_empty() {
-                println!("    {}", f.snippet);
-            }
+    for f in &findings {
+        println!("{} {}:{}: {}", f.rule, f.path, f.line, f.message);
+        if !f.snippet.is_empty() {
+            println!("    {}", f.snippet);
         }
     }
 

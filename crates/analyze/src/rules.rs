@@ -1,4 +1,6 @@
-//! The lint rules (QD001–QD013).
+//! The lint rules that clippy cannot express (QD000–QD013, minus the
+//! panic, print and wall-clock bans, which are clippy lints; see
+//! DESIGN.md §6).
 //!
 //! Each rule is a pure function from scanned [`SourceFile`]s to
 //! [`Finding`]s; suppression handling and ordering live in
@@ -12,7 +14,7 @@ use crate::symbols::FnSym;
 /// One rule violation.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule id from the catalog, e.g. `QD001`.
+    /// Rule id from the catalog, e.g. `QD002`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -26,101 +28,6 @@ pub struct Finding {
 
 fn finding(rule: &'static str, sf: &SourceFile, line: u32, message: String) -> Finding {
     Finding { rule, path: sf.path.clone(), line, message, snippet: sf.snippet(line) }
-}
-
-/// Files where the full QD001 rule (panic family + direct indexing)
-/// applies: the online serving and persistence paths.
-const QD001_SERVING: &[&str] = &[
-    "crates/core/src/serve.rs",
-    "crates/core/src/persist.rs",
-    "crates/core/src/inputs.rs",
-    "crates/core/src/identify.rs",
-    // The serving engine runs indefinitely against untrusted callers:
-    // every lib file of qdgnn-serve is a serving path.
-    "crates/serve/src/lib.rs",
-    "crates/serve/src/engine.rs",
-    "crates/serve/src/batcher.rs",
-    "crates/serve/src/config.rs",
-    "crates/serve/src/error.rs",
-    "crates/serve/src/trace.rs",
-    "crates/serve/src/http.rs",
-];
-
-/// Keywords that may legitimately precede `[` without it being an
-/// indexing expression (array literals, types, closures).
-const NON_RECEIVER_KEYWORDS: &[&str] = &[
-    "if", "else", "match", "while", "for", "loop", "return", "break",
-    "continue", "in", "let", "mut", "ref", "move", "as", "use", "pub",
-    "fn", "impl", "struct", "enum", "trait", "type", "where", "unsafe",
-    "dyn", "static", "const", "crate", "super", "mod", "extern",
-];
-
-/// QD001: no `unwrap`/`expect`/`panic!`/`unreachable!`/direct indexing
-/// on serving and persistence paths; panic-family subset on model code.
-pub fn qd001(sf: &SourceFile) -> Vec<Finding> {
-    let full = QD001_SERVING.iter().any(|p| sf.path.ends_with(p));
-    let models = sf.path.contains("crates/core/src/models/");
-    if !full && !models {
-        return Vec::new();
-    }
-    let toks = &sf.toks;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.in_test {
-            continue;
-        }
-        match t.kind {
-            TokKind::Ident => {
-                let prev_dot = i > 0 && toks[i - 1].text == ".";
-                let next_bang = toks.get(i + 1).is_some_and(|n| n.text == "!");
-                match t.text.as_str() {
-                    "unwrap" | "expect" if prev_dot => out.push(finding(
-                        "QD001",
-                        sf,
-                        t.line,
-                        format!(
-                            "`.{}()` on a serving/persistence path — return a typed QdgnnError instead",
-                            t.text
-                        ),
-                    )),
-                    "panic" | "unreachable" | "todo" | "unimplemented" if next_bang => {
-                        out.push(finding(
-                            "QD001",
-                            sf,
-                            t.line,
-                            format!(
-                                "`{}!` on a serving/persistence path — the online query path must degrade via typed errors, never abort",
-                                t.text
-                            ),
-                        ))
-                    }
-                    _ => {}
-                }
-            }
-            TokKind::Punct if full && t.text == "[" && i > 0 => {
-                let p = &toks[i - 1];
-                let is_receiver = match p.kind {
-                    TokKind::Ident => !NON_RECEIVER_KEYWORDS.contains(&p.text.as_str()),
-                    TokKind::Punct => p.text == ")" || p.text == "]",
-                    _ => false,
-                };
-                if is_receiver {
-                    out.push(finding(
-                        "QD001",
-                        sf,
-                        t.line,
-                        format!(
-                            "direct indexing `{}[…]` on a serving/persistence path — validate bounds and return a typed error",
-                            p.text
-                        ),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 /// Is this token a float literal? (`.`-containing, `f32`/`f64`-suffixed,
@@ -282,39 +189,6 @@ fn op_variants(sf: &SourceFile) -> Vec<(String, u32)> {
     out
 }
 
-/// Paths covered by the resume bit-identity guarantee.
-const QD004_PATHS: &[&str] = &["crates/core/src/train.rs", "crates/tensor/src/tape.rs"];
-
-/// Identifiers that introduce nondeterminism. `Instant::now` is
-/// deliberately absent here: it cannot break replay determinism, but
-/// QD007 bans it on library paths anyway so wall timing stays injectable.
-const QD004_BANNED: &[&str] = &["SystemTime", "thread_rng", "from_entropy"];
-
-/// QD004: no wall-clock time or entropy-seeded RNG on paths covered by
-/// the crash-resume bit-identity guarantee.
-pub fn qd004(sf: &SourceFile) -> Vec<Finding> {
-    if !QD004_PATHS.iter().any(|p| sf.path.ends_with(p)) {
-        return Vec::new();
-    }
-    sf.toks
-        .iter()
-        .filter(|t| {
-            !t.in_test && t.kind == TokKind::Ident && QD004_BANNED.contains(&t.text.as_str())
-        })
-        .map(|t| {
-            finding(
-                "QD004",
-                sf,
-                t.line,
-                format!(
-                    "`{}` on a resume-deterministic path — training must replay bit-identically from a checkpoint; seed explicitly instead",
-                    t.text
-                ),
-            )
-        })
-        .collect()
-}
-
 /// Paths where the parallel trainer / tiled matmul use locks.
 const QD005_PATHS: &[&str] = &[
     "crates/core/src/train.rs",
@@ -394,105 +268,6 @@ pub fn qd005(sf: &SourceFile) -> Vec<Finding> {
                 ));
             }
             _ => {}
-        }
-    }
-    out
-}
-
-/// Library crates where stdout/stderr printing is banned outside tests:
-/// these are linked into servers and harnesses that own their output
-/// streams; diagnostics must flow through qdgnn-obs events/counters or
-/// typed errors instead.
-const QD006_CRATES: &[&str] = &[
-    "crates/core/src/",
-    "crates/tensor/src/",
-    "crates/nn/src/",
-    "crates/graph/src/",
-    // The serve library is linked into servers; its binary lives at
-    // crates/serve/bin/ (outside src/) and owns its streams.
-    "crates/serve/src/",
-];
-
-/// The print-family macros QD006 bans.
-const QD006_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
-
-/// QD006: no `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` on library
-/// paths (core, tensor, nn, graph) outside tests.
-pub fn qd006(sf: &SourceFile) -> Vec<Finding> {
-    if !QD006_CRATES.iter().any(|p| sf.path.contains(p)) {
-        return Vec::new();
-    }
-    let toks = &sf.toks;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.in_test || t.kind != TokKind::Ident || !QD006_MACROS.contains(&t.text.as_str()) {
-            continue;
-        }
-        // Macro invocation only: `println` followed by `!`, and not a
-        // path segment like `writer::println`.
-        if toks.get(i + 1).is_none_or(|n| n.text != "!") {
-            continue;
-        }
-        if i > 0 && toks[i - 1].text == "::" {
-            continue;
-        }
-        out.push(finding(
-            "QD006",
-            sf,
-            t.line,
-            format!(
-                "`{}!` in library code — record a qdgnn-obs event/counter or return a typed error; binaries own the output streams",
-                t.text
-            ),
-        ));
-    }
-    out
-}
-
-/// Library crates where raw `Instant::now()` is banned outside tests:
-/// wall timing there must flow through the injectable qdgnn-obs clock
-/// (`qdgnn_obs::clock::wall_micros()` or a `Clock` handle) so fake-clock
-/// tests can pin every reported duration. The obs crate itself is exempt
-/// by omission — its `MonotonicClock` is the one sanctioned caller.
-const QD007_CRATES: &[&str] = &[
-    "crates/core/src/",
-    "crates/tensor/src/",
-    "crates/nn/src/",
-    "crates/graph/src/",
-    // Engine batching deadlines must follow the injected Clock, never
-    // a raw Instant — that is what makes the fake-clock tests honest.
-    "crates/serve/src/",
-];
-
-/// QD007: no raw `Instant::now()` on library paths (core, tensor, nn,
-/// graph) outside tests.
-pub fn qd007(sf: &SourceFile) -> Vec<Finding> {
-    if !QD007_CRATES.iter().any(|p| sf.path.contains(p)) {
-        return Vec::new();
-    }
-    let toks = &sf.toks;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.in_test || t.kind != TokKind::Ident || t.text != "Instant" {
-            continue;
-        }
-        // Call site only: `Instant` followed by `::` `now`. Bare type
-        // mentions (struct fields, imports) stay legal so `Instant`-typed
-        // plumbing can exist where the value itself is injected.
-        if toks.get(i + 1).is_some_and(|n| n.text == "::")
-            && toks.get(i + 2).is_some_and(|n| n.text == "now")
-        {
-            out.push(finding(
-                "QD007",
-                sf,
-                t.line,
-                "`Instant::now()` in library code — read the injectable obs wall \
-                 clock (`qdgnn_obs::clock::wall_micros()`) so fake-clock tests \
-                 can pin this timing"
-                    .to_string(),
-            ));
         }
     }
     out
@@ -689,12 +464,8 @@ pub fn qd013(files: &[SourceFile]) -> Vec<Finding> {
 
 /// Runs every per-file rule on one source file.
 pub fn check_file(sf: &SourceFile) -> Vec<Finding> {
-    let mut out = qd001(sf);
-    out.extend(qd002(sf));
-    out.extend(qd004(sf));
+    let mut out = qd002(sf);
     out.extend(qd005(sf));
-    out.extend(qd006(sf));
-    out.extend(qd007(sf));
     out.extend(qd008(sf));
     out
 }
@@ -706,13 +477,12 @@ pub fn check_file(sf: &SourceFile) -> Vec<Finding> {
 /// [`crate::analyze_sources`]; QD003 is the cross-file gradient-check
 /// rule; QD009–QD011 are the interprocedural rules below.
 pub const IMPLEMENTED_IDS: &[&str] = &[
-    "QD000", "QD001", "QD002", "QD003", "QD004", "QD005", "QD006", "QD007",
-    "QD008", "QD009", "QD010", "QD011", "QD012", "QD013",
+    "QD000", "QD002", "QD003", "QD005", "QD008", "QD009", "QD010", "QD011", "QD012", "QD013",
 ];
 
 /// Crates whose panic sites are in scope for QD009. Panics in
 /// `crates/tensor` / `crates/nn` are bounded-by-construction shape
-/// asserts on the training path and stay QD001's (per-file) problem.
+/// asserts on the training path, outside the serving call graph.
 const QD009_PANIC_CRATES: &[&str] = &["crates/serve/", "crates/core/", "crates/obs/"];
 
 /// Is this function a serving-path entry point for QD009?
@@ -735,7 +505,8 @@ fn snippet_at(files: &[SourceFile], path: &str, line: u32) -> String {
 /// `unwrap`/`expect` call in any transitively-reached function (in the
 /// serve/core/obs crates) is reported at the panic site, carrying one
 /// shortest entry chain in the message. Direct panics (chain length 1)
-/// are QD001's job and are skipped here.
+/// are skipped: clippy's panic lints, denied at the top of the serving
+/// modules, own those.
 pub fn qd009(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
     use std::collections::BTreeMap;
     // Panic site → (chain labels, panic kind). Keeps the shortest chain
@@ -905,85 +676,6 @@ mod tests {
         SourceFile::scan(path, src)
     }
 
-    // ---- QD001 ----
-
-    #[test]
-    fn qd001_bad_panic_family_on_serving_path() {
-        let sf = scan(
-            "crates/core/src/serve.rs",
-            r#"
-fn f(x: Option<u32>) -> u32 {
-    let a = x.unwrap();
-    let b = x.expect("msg");
-    if a == 0 { panic!("boom"); }
-    unreachable!()
-}
-"#,
-        );
-        let f = qd001(&sf);
-        assert_eq!(f.len(), 4, "{f:?}");
-        assert!(f.iter().all(|f| f.rule == "QD001"));
-        assert_eq!(f[0].line, 3);
-        assert!(f[0].snippet.contains("unwrap"));
-    }
-
-    #[test]
-    fn qd001_bad_indexing_on_serving_path() {
-        let sf = scan(
-            "crates/core/src/persist.rs",
-            "fn f(v: &[f32], i: usize) -> f32 { v[i] + g()[0] }\n",
-        );
-        let f = qd001(&sf);
-        assert_eq!(f.len(), 2, "{f:?}");
-    }
-
-    #[test]
-    fn qd001_good_no_false_positives() {
-        let sf = scan(
-            "crates/core/src/serve.rs",
-            r#"
-#[derive(Debug)]
-struct S { xs: Vec<f32> }
-fn f(v: &[f32], i: usize) -> Result<f32, ()> {
-    // unwrap() discussed in a comment is fine
-    let msg = "do not unwrap() in serving";
-    let arr = [0u8; 4];
-    let y = vec![1, 2];
-    let first = v.get(i).copied().ok_or(())?;
-    let or = Some(1).unwrap_or(0) + Some(2).unwrap_or_default();
-    Ok(first + msg.len() as f32 + arr.len() as f32 + y.len() as f32 + or as f32)
-}
-"#,
-        );
-        assert!(qd001(&sf).is_empty(), "{:?}", qd001(&sf));
-    }
-
-    #[test]
-    fn qd001_models_get_panic_subset_only() {
-        let sf = scan(
-            "crates/core/src/models/blocks.rs",
-            "fn f(v: &[f32]) -> f32 { let x = v[0]; x }\nfn g() { panic!(\"no\"); }\n",
-        );
-        let f = qd001(&sf);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("panic"));
-    }
-
-    #[test]
-    fn qd001_test_code_is_exempt() {
-        let sf = scan(
-            "crates/core/src/serve.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t() { None::<u32>.unwrap(); }\n}\n",
-        );
-        assert!(qd001(&sf).is_empty());
-    }
-
-    #[test]
-    fn qd001_not_enforced_elsewhere() {
-        let sf = scan("crates/tensor/src/dense.rs", "fn f() { None::<u32>.unwrap(); }\n");
-        assert!(qd001(&sf).is_empty());
-    }
-
     // ---- QD002 ----
 
     #[test]
@@ -1041,26 +733,6 @@ pub enum Op {
         assert_eq!(qd003(&tape, None).len(), 3);
     }
 
-    // ---- QD004 ----
-
-    #[test]
-    fn qd004_bad_wall_clock_and_entropy() {
-        let sf = scan(
-            "crates/core/src/train.rs",
-            "fn f() {\n    let t = SystemTime::now();\n    let mut r = thread_rng();\n    let s = StdRng::from_entropy();\n}\n",
-        );
-        assert_eq!(qd004(&sf).len(), 3);
-    }
-
-    #[test]
-    fn qd004_good_instant_and_seeded() {
-        let sf = scan(
-            "crates/core/src/train.rs",
-            "fn f(seed: u64) {\n    let t = Instant::now();\n    let r = StdRng::seed_from_u64(seed);\n}\n",
-        );
-        assert!(qd004(&sf).is_empty());
-    }
-
     // ---- QD005 ----
 
     #[test]
@@ -1102,93 +774,6 @@ fn f() {
 ",
         );
         assert!(qd005(&sf).is_empty(), "{:?}", qd005(&sf));
-    }
-
-    // ---- QD006 ----
-
-    #[test]
-    fn qd006_bad_prints_in_library_code() {
-        let sf = scan(
-            "crates/core/src/train.rs",
-            "fn f(x: u32) {\n    println!(\"{x}\");\n    eprintln!(\"warn\");\n    dbg!(x);\n}\n",
-        );
-        let f = qd006(&sf);
-        assert_eq!(f.len(), 3, "{f:?}");
-        assert!(f.iter().all(|f| f.rule == "QD006"));
-        assert!(f[1].message.contains("eprintln"));
-    }
-
-    #[test]
-    fn qd006_good_tests_and_non_invocations() {
-        let sf = scan(
-            "crates/tensor/src/tape.rs",
-            r#"
-// println! in a comment is fine
-fn f() {
-    let s = "eprintln! inside a string";
-    custom::println!("path-qualified macro from another crate");
-    let _ = s;
-}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { println!("test output is fine"); }
-}
-"#,
-        );
-        assert!(qd006(&sf).is_empty(), "{:?}", qd006(&sf));
-    }
-
-    #[test]
-    fn qd006_not_enforced_outside_library_crates() {
-        let sf = scan(
-            "crates/experiments/src/bin/table2.rs",
-            "fn main() { println!(\"table\"); eprintln!(\"banner\"); }\n",
-        );
-        assert!(qd006(&sf).is_empty());
-    }
-
-    // ---- QD007 ----
-
-    #[test]
-    fn qd007_bad_instant_now_in_library_code() {
-        let sf = scan(
-            "crates/core/src/interactive.rs",
-            "use std::time::Instant;\nfn f() -> u64 {\n    let t = Instant::now();\n    std::time::Instant::now().elapsed().as_micros() as u64 + t.elapsed().as_micros() as u64\n}\n",
-        );
-        let f = qd007(&sf);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|f| f.rule == "QD007"));
-        assert_eq!(f[0].line, 3);
-        assert!(f[0].message.contains("wall_micros"));
-    }
-
-    #[test]
-    fn qd007_good_injected_clock_and_tests() {
-        let sf = scan(
-            "crates/core/src/train.rs",
-            r#"
-// Instant::now() in a comment is fine
-fn f() -> u64 {
-    qdgnn_obs::clock::wall_micros()
-}
-struct Holder { at: std::time::Instant }
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { let _ = std::time::Instant::now(); }
-}
-"#,
-        );
-        assert!(qd007(&sf).is_empty(), "{:?}", qd007(&sf));
-    }
-
-    #[test]
-    fn qd007_not_enforced_outside_library_crates() {
-        for path in ["crates/obs/src/clock.rs", "crates/experiments/src/bin/table2.rs"] {
-            let sf = scan(path, "fn f() { let _ = std::time::Instant::now(); }\n");
-            assert!(qd007(&sf).is_empty(), "{path} should be exempt");
-        }
     }
 
     // ---- QD008 ----
@@ -1302,7 +887,7 @@ fn helper() { panic!(\"boom\"); }
     #[test]
     fn qd009_good_direct_panics_and_non_entry_chains_are_not_its_job() {
         let (files, g) = interproc(&[
-            // Direct panic in an entry: QD001's finding, not QD009's.
+            // Direct panic in an entry: clippy's finding, not QD009's.
             ("crates/serve/src/lib.rs", "fn direct(x: Option<u8>) { x.unwrap(); }\n"),
             // Chain rooted outside any entry point.
             ("crates/core/src/train.rs", "fn train_step() { offline(); }\n"),

@@ -7,8 +7,8 @@ use qdgnn_analyze::{analyze_sources, lexer::SourceFile};
 fn fixture_files() -> Vec<SourceFile> {
     vec![
         SourceFile::scan(
-            "crates/core/src/serve.rs",
-            "fn f(x: Option<u32>) -> u32 {\n    let a = x.unwrap();\n    panic!(\"b\");\n}\n",
+            "crates/serve/src/engine.rs",
+            "fn f(rx: &Receiver<u8>, x: f32) {\n    let a = rx.recv();\n    let b = x != 1.0;\n}\n",
         ),
         SourceFile::scan(
             "crates/core/src/inputs.rs",
@@ -16,7 +16,7 @@ fn fixture_files() -> Vec<SourceFile> {
         ),
         SourceFile::scan(
             "crates/core/src/train.rs",
-            "fn h() { let t = SystemTime::now(); }\n",
+            "fn h() {\n    let a = m1.lock();\n    let b = m2.lock();\n}\n",
         ),
     ]
 }

@@ -1,6 +1,16 @@
 //! Community identification: the online query stage's translation of
 //! model scores into a community (§4.3 for CS, §6.6 for ACS).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use qdgnn_graph::{traversal, VertexId};
 
 use crate::error::QdgnnError;

@@ -6,6 +6,16 @@
 //! structure graph, and (lazily) the fusion graph used by attributed
 //! community identification.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::Arc;
 
 use qdgnn_graph::attributed::{adjacency_matrix, AdjNorm, AttrId};
@@ -65,6 +75,30 @@ impl GraphTensors {
     }
 }
 
+/// Checks a query against a graph with `n` vertices and `d` attributes:
+/// at least one vertex, and every vertex and attribute id in range.
+///
+/// # Errors
+/// [`QdgnnError::EmptyQuery`], then the first out-of-range vertex, then
+/// the first out-of-range attribute.
+pub(crate) fn validate_query(
+    n: usize,
+    d: usize,
+    vertices: &[VertexId],
+    attrs: &[AttrId],
+) -> Result<(), QdgnnError> {
+    if vertices.is_empty() {
+        return Err(QdgnnError::EmptyQuery);
+    }
+    if let Some(&vertex) = vertices.iter().find(|&&q| q as usize >= n) {
+        return Err(QdgnnError::VertexOutOfRange { vertex, n });
+    }
+    if let Some(&attr) = attrs.iter().find(|&&a| a as usize >= d) {
+        return Err(QdgnnError::AttrOutOfRange { attr, d });
+    }
+    Ok(())
+}
+
 /// Vectorized query inputs (§4.1): one-hot query-vertex and
 /// query-attribute columns.
 #[derive(Clone, Debug)]
@@ -87,21 +121,13 @@ impl QueryVectors {
         vertices: &[VertexId],
         attrs: &[AttrId],
     ) -> Result<Self, QdgnnError> {
-        if vertices.is_empty() {
-            return Err(QdgnnError::EmptyQuery);
-        }
+        validate_query(n, d, vertices, attrs)?;
         let mut v = Dense::zeros(n, 1);
         for &q in vertices {
-            if (q as usize) >= n {
-                return Err(QdgnnError::VertexOutOfRange { vertex: q, n });
-            }
             v.set(q as usize, 0, 1.0);
         }
         let mut f = Dense::zeros(d, 1);
         for &a in attrs {
-            if (a as usize) >= d {
-                return Err(QdgnnError::AttrOutOfRange { attr: a, d });
-            }
             f.set(a as usize, 0, 1.0);
         }
         Ok(QueryVectors { vertex_onehot: v, attr_onehot: f })
@@ -117,7 +143,10 @@ impl QueryVectors {
     pub fn encode(n: usize, d: usize, vertices: &[VertexId], attrs: &[AttrId]) -> Self {
         match Self::try_encode(n, d, vertices, attrs) {
             Ok(qv) => qv,
-            // qdgnn-analyze: allow(QD001, reason = "documented trusted-input variant for training data; serving uses try_encode")
+            #[expect(
+                clippy::panic,
+                reason = "documented trusted-input variant for training data; serving uses try_encode"
+            )]
             Err(e) => panic!("invalid training query: {e}"),
         }
     }

@@ -129,7 +129,7 @@ pub fn run_interactive(
     use rand::seq::SliceRandom;
 
     for round in 0..cfg.rounds {
-        // Per-round wall timing via the injectable obs clock (QD007).
+        // Per-round wall timing via the injectable obs clock.
         let start_us = qdgnn_obs::clock::wall_micros();
         // 1. Candidate subgraph around the current query vertices.
         let candidate_vertices =

@@ -148,9 +148,11 @@ impl AqdGnn {
     /// Runs the query- and attribute-dependent branches plus the output
     /// head, given per-layer Graph Encoder outputs: the model's one
     /// forward body, recorded on a tape or run by the eval executor.
-    // Several parallel arrays (layers, fusions, cached g) are indexed by
-    // the same layer counter; an iterator rewrite would obscure that.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "several parallel arrays (layers, fusions, cached g) are indexed by the same \
+                  layer counter; an iterator rewrite would obscure that"
+    )]
     fn query_branches_and_head<E: Exec>(
         &self,
         ex: &mut E,

@@ -1,5 +1,14 @@
 //! The three community-search models and their common interface.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub(crate) mod blocks;
 mod aqdgnn;
 mod qdgnn;

@@ -15,6 +15,16 @@
 //! `serve.forward` (the stacked pass) and `serve.bfs` (per query) — with
 //! `serve.batch_size` carrying K.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::Arc;
 
 use qdgnn_data::Query;
@@ -252,7 +262,10 @@ impl<'a> OnlineStage<'a> {
             .flat_map(|chunk| self.try_query_batch(chunk, &clock).0)
             .map(|r| match r {
                 Ok(c) => c,
-                // qdgnn-analyze: allow(QD001, reason = "documented trusted-input variant; untrusted queries go through try_query_batch")
+                #[expect(
+                    clippy::panic,
+                    reason = "documented trusted-input variant; untrusted queries go through try_query_batch"
+                )]
                 Err(e) => panic!("invalid query in evaluation set: {e}"),
             })
             .collect();

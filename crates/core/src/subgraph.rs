@@ -9,13 +9,23 @@
 //! input width is 1, the Graph/Attribute Encoders' widths depend only on
 //! the attribute vocabulary), so one model serves all subgraphs.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use qdgnn_data::Query;
 use qdgnn_graph::graph::Subgraph;
 use qdgnn_graph::{traversal, AttributedGraph, CommunityMetrics, VertexId};
 
 use crate::config::ModelConfig;
 use crate::error::QdgnnError;
-use crate::inputs::GraphTensors;
+use crate::inputs::{validate_query, GraphTensors};
 use crate::models::CsModel;
 use crate::serve::OnlineStage;
 use crate::train::{run_training, TrainConfig, TrainItem, TrainedModel, Validation};
@@ -59,17 +69,19 @@ pub fn extract_candidate(
 ) -> Candidate {
     let fusion = graph.fusion(model_config.fusion_graph_attr_cap);
     let dist = traversal::bfs_distances(&fusion, &query.vertices, 2);
-    let within = |hops: usize| -> Vec<VertexId> {
-        (0..dist.len() as VertexId).filter(|&v| dist[v as usize] <= hops).collect()
+    // `(distance, vertex)` pairs in id order.
+    let within = |hops: usize| -> Vec<(usize, VertexId)> {
+        dist.iter().copied().zip(0..).filter(|&(d, _)| d <= hops).collect()
     };
     let one_hop = within(1);
-    let mut vertices = if one_hop.len() < cfg.two_hop_below { within(2) } else { one_hop };
-    if vertices.len() > cfg.max_vertices {
+    let mut near = if one_hop.len() < cfg.two_hop_below { within(2) } else { one_hop };
+    if near.len() > cfg.max_vertices {
         // Keep the closest vertices (BFS distance, then id) so the query
         // neighbourhood survives the cap.
-        vertices.sort_by_key(|&v| (dist[v as usize], v));
-        vertices.truncate(cfg.max_vertices);
+        near.sort_unstable();
+        near.truncate(cfg.max_vertices);
     }
+    let vertices: Vec<VertexId> = near.into_iter().map(|(_, v)| v).collect();
     let (sub_attr, map) = graph.induced_subgraph(&vertices);
     let tensors =
         GraphTensors::new(&sub_attr, model_config.adj_norm, model_config.fusion_graph_attr_cap);
@@ -140,8 +152,10 @@ impl SubgraphTrainer {
 /// [`OnlineStage`], so the answer is the served one.
 ///
 /// # Errors
-/// The stage's typed error for a malformed query (e.g. no query vertex
-/// inside the candidate).
+/// [`QdgnnError::VertexOutOfRange`] / [`QdgnnError::AttrOutOfRange`] /
+/// [`QdgnnError::EmptyQuery`] for a query malformed against `graph`,
+/// checked before extraction; otherwise the stage's typed error (e.g. no
+/// query vertex inside the candidate).
 pub fn predict_community_subgraph(
     model: &dyn CsModel,
     graph: &AttributedGraph,
@@ -149,6 +163,7 @@ pub fn predict_community_subgraph(
     gamma: f32,
     cfg: &SubgraphConfig,
 ) -> Result<Vec<VertexId>, QdgnnError> {
+    validate_query(graph.num_vertices(), graph.num_attrs(), &query.vertices, &query.attrs)?;
     let cand = {
         let _s = qdgnn_obs::span!("serve.extract");
         extract_candidate(graph, query, model.config(), cfg)
@@ -177,6 +192,10 @@ pub fn evaluate_subgraph(
         .iter()
         .map(|q| match predict_community_subgraph(model, graph, q, gamma, cfg) {
             Ok(c) => c,
+            #[expect(
+                clippy::panic,
+                reason = "documented trusted-input variant; untrusted queries go through predict_community_subgraph"
+            )]
             Err(e) => panic!("invalid query in evaluation set: {e}"),
         })
         .collect();
@@ -205,6 +224,29 @@ mod tests {
                 assert!(cand.map.local(v).is_some());
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_query_is_a_typed_error_not_a_panic() {
+        let data = presets::toy();
+        let model = AqdGnn::new(ModelConfig::fast(), data.graph.num_attrs());
+        let (n, d) = (data.graph.num_vertices(), data.graph.num_attrs());
+        let cfg = SubgraphConfig::default();
+        let ask = |vertices: Vec<VertexId>, attrs: Vec<u32>| {
+            let q = Query { vertices, attrs, truth: Vec::new() };
+            predict_community_subgraph(&model, &data.graph, &q, 0.5, &cfg)
+        };
+        let bad = n as VertexId + 7;
+        assert!(matches!(
+            ask(vec![0, bad], vec![]),
+            Err(QdgnnError::VertexOutOfRange { vertex, n: got }) if vertex == bad && got == n
+        ));
+        assert!(matches!(
+            ask(vec![0], vec![d as u32]),
+            Err(QdgnnError::AttrOutOfRange { attr, d: got }) if attr == d as u32 && got == d
+        ));
+        assert!(matches!(ask(vec![], vec![]), Err(QdgnnError::EmptyQuery)));
+        assert!(ask(vec![0], vec![]).is_ok());
     }
 
     #[test]

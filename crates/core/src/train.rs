@@ -229,7 +229,7 @@ pub(crate) fn run_training<M: CsModel>(
     resume: Option<ResumeState>,
 ) -> TrainedModel<M> {
     assert!(!items.is_empty(), "training set must be non-empty");
-    // Wall-clock reporting goes through the injectable obs clock (QD007)
+    // Wall-clock reporting goes through the injectable obs clock
     // so fake-clock tests cover `train_seconds` too.
     let start_us = qdgnn_obs::clock::wall_micros();
     let threads = if cfg.threads == 0 {
@@ -425,7 +425,7 @@ pub(crate) fn run_training<M: CsModel>(
                 // A failed checkpoint write must not kill training — the
                 // run is still making progress in memory. The failure is
                 // counted (metric + report) rather than printed so library
-                // code stays quiet on stderr (QD006); harnesses surface the
+                // code stays quiet on stderr; harnesses surface the
                 // count in their end-of-run summary.
                 match crate::persist::save_train_checkpoint(path, &model, &state) {
                     Ok(()) => {

@@ -41,7 +41,10 @@ fn citation(
     .generate(name)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one positional argument per column of the dataset statistics table"
+)]
 fn facebook(
     name: &str,
     num_communities: usize,

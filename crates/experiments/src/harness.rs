@@ -102,7 +102,7 @@ pub fn time_queries(
     mut f: impl FnMut(&Query) -> Vec<VertexId>,
 ) -> (f64, Vec<Vec<VertexId>>) {
     let mut predictions = Vec::with_capacity(queries.len());
-    // Injectable obs wall clock, not Instant (QD007): fake-clock tests
+    // Injectable obs wall clock, not Instant: fake-clock tests
     // can pin these timings.
     let start_us = qdgnn_obs::clock::wall_micros();
     for q in queries {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![allow(clippy::disallowed_methods, reason = "harness owns its stopwatch")]
 
 //! # qdgnn-experiments
 //!

@@ -4,7 +4,7 @@
 //! never reads the wall clock directly: production uses a monotonic
 //! clock anchored at registry creation, tests inject a [`FakeClock`]
 //! they advance by hand. This is what keeps instrumented training paths
-//! resume-deterministic (QD004): the metrics layer observes time, the
+//! resume-deterministic: the metrics layer observes time, the
 //! computation never does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,6 +27,10 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// Creates a clock whose origin is "now".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned wall-clock read; everything else goes through `Clock`"
+    )]
     pub fn new() -> Self {
         MonotonicClock { origin: Instant::now() }
     }

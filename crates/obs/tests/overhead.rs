@@ -52,6 +52,10 @@ fn disabled_recording_has_no_observable_state() {
 /// clock read per iteration would blow through it by orders of
 /// magnitude).
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the overhead check owns its stopwatch"
+)]
 fn disabled_hot_loop_overhead_is_negligible() {
     const ITERS: u64 = 5_000_000;
 

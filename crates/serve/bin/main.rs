@@ -33,6 +33,8 @@
 //! (`client-0`, `client-1`, …), so `/metrics` shows the per-tenant
 //! `qdgnn_serve_tenant_request` breakdown.
 
+#![allow(clippy::disallowed_methods, reason = "harness owns its stopwatch")]
+
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

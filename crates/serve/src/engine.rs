@@ -1059,6 +1059,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounds real blocking time, which the engine's fake clock cannot see"
+    )]
     fn pending_wait_is_bounded_by_the_request_deadline() {
         let (stage, _reference, queries) = twin_stages();
         // Frozen clock, oversized batch: the engine is effectively

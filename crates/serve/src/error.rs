@@ -2,7 +2,7 @@
 //!
 //! The engine runs indefinitely against untrusted callers: overload,
 //! shutdown races and malformed queries all surface as values, never as
-//! panics (the workspace QD001 rule covers this crate).
+//! panics (the crate root denies clippy's panic and indexing lints).
 
 use std::fmt;
 

@@ -61,6 +61,16 @@
 //! # Ok::<(), qdgnn_serve::ServeError>(())
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod batcher;

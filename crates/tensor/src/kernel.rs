@@ -97,7 +97,10 @@ pub(crate) fn for_unit_chunks<F>(
 /// set the CPU lacks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Isa {
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    #[cfg_attr(
+        not(target_arch = "x86_64"),
+        allow(dead_code, reason = "only the x86-64 dispatch reads it")
+    )]
     avx2: bool,
 }
 
@@ -178,8 +181,10 @@ impl Epilogue<'_> {
     pub(crate) fn apply(&self, i: usize, row: &mut [f32]) {
         if let Some(r) = self.residual {
             for (o, &s) in row.iter_mut().zip(r.row(i)) {
-                // The operand order of the unfused `residual.add(out)`.
-                #[allow(clippy::assign_op_pattern)]
+                #[allow(
+                    clippy::assign_op_pattern,
+                    reason = "the operand order of the unfused `residual.add(out)`"
+                )]
                 {
                     *o = s + *o;
                 }
@@ -226,7 +231,10 @@ impl Epilogue<'_> {
 /// `out` must hold whole rows; every term's `k` must index a row of `b`,
 /// and a `prefix` must hold a row for every output row.
 #[inline]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one monomorphized kernel entry; bundling the operands would add a struct per call"
+)]
 pub(crate) fn weighted_rows<F, I, const P: usize>(
     isa: Isa,
     out: &mut [f32],
@@ -266,7 +274,10 @@ where
 {
     /// [`Rows::body`] for the given instruction set.
     #[inline(always)]
-    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    #[cfg_attr(
+        not(target_arch = "x86_64"),
+        allow(unused_variables, reason = "only the x86-64 dispatch reads `isa`")
+    )]
     fn run<const PREFIX: bool, const EPI: bool>(self, isa: Isa, start: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         if isa.avx2 {

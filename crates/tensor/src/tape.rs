@@ -76,7 +76,10 @@ enum Op {
 impl Op {
     /// The op's name, used by the finiteness sanitizer so NaN/Inf
     /// reports name their producer.
-    #[cfg_attr(not(feature = "sanitize"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "sanitize"),
+        allow(dead_code, reason = "only the finiteness sanitizer names ops")
+    )]
     fn name(&self) -> &'static str {
         match self {
             Op::Leaf => "leaf",

@@ -6,6 +6,8 @@
 //! cargo run --release -p qdgnn --example large_graph
 //! ```
 
+#![allow(clippy::disallowed_methods, reason = "harness owns its stopwatch")]
+
 use std::time::Instant;
 
 use qdgnn::core::subgraph::{evaluate_subgraph, predict_community_subgraph};

@@ -5,6 +5,8 @@
 //! cargo run --release -p qdgnn --example quickstart
 //! ```
 
+#![allow(clippy::disallowed_methods, reason = "harness owns its stopwatch")]
+
 use qdgnn::prelude::*;
 
 fn main() {

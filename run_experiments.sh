@@ -3,7 +3,7 @@
 # Tables land in results/logs/<name>.txt, CSVs in results/, and each
 # binary's obs event stream in results/logs/<name>.jsonl (the
 # qdgnn-obs-validate / qdgnn-obs-flame input format).
-cd /root/repo
+cd "$(dirname "$0")" || exit 1
 BIN=target/release
 mkdir -p results/logs
 run() {

@@ -15,6 +15,8 @@
 //! `train` and later `query`/`evaluate` invocations; the loader rejects
 //! mismatched weight shapes.
 
+#![allow(clippy::disallowed_methods, reason = "harness owns its stopwatch")]
+
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -186,10 +188,15 @@ fn split_spec(opts: &Options, total: usize) -> Result<(usize, usize, usize), Str
                 .split(',')
                 .map(|t| t.trim().parse().map_err(|_| format!("bad --split entry `{t}`")))
                 .collect::<Result<_, String>>()?;
-            if parts.len() != 3 {
+            let [train, val, test] = parts[..] else {
                 return Err("--split needs three comma-separated sizes".into());
+            };
+            match train.checked_add(val).and_then(|n| n.checked_add(test)) {
+                Some(need) if need <= total => Ok((train, val, test)),
+                _ => Err(format!(
+                    "--split {s} needs more queries than the {total} in the query file"
+                )),
             }
-            Ok((parts[0], parts[1], parts[2]))
         }
     }
 }

@@ -133,6 +133,43 @@ fn cli_usage_on_bad_input() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
 
+/// A `--split` asking for more queries than the file holds is a usage
+/// error (exit 1 with a message), not an assertion failure.
+#[test]
+fn cli_rejects_a_split_larger_than_the_query_file() {
+    let dir = workdir();
+    let data = dir.join("short.txt");
+    let queries = dir.join("short_q.txt");
+    assert!(bin()
+        .args(["generate", "--preset", "toy", "--out"])
+        .arg(&data)
+        .arg("--queries")
+        .arg(&queries)
+        .args(["--count", "40"])
+        .status()
+        .unwrap()
+        .success());
+    for split in ["30,10,10", "18446744073709551615,1,0"] {
+        let out = bin()
+            .args(["train", "--data"])
+            .arg(&data)
+            .arg("--queries")
+            .arg(&queries)
+            .args(["--model", "qd", "--epochs", "1", "--split", split])
+            .arg("--out")
+            .arg(dir.join("short.model"))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{split}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{split} panicked: {stderr}");
+        assert!(
+            stderr.contains(&format!("--split {split} needs more queries than the 40")),
+            "{split}: {stderr}"
+        );
+    }
+}
+
 /// A query file whose last (test) query names vertex 99999 of a
 /// 47-vertex graph is rejected up front by `train` and `evaluate`: a
 /// non-zero exit with a message naming the query, never a panic.
